@@ -184,6 +184,17 @@ def _cmd_zeros_verify(args) -> str:
 # parser
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -199,15 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("pi", parents=[common, sieve_limit])
-    q.add_argument("x", type=float)
+    q.add_argument("x", type=_finite_float)
     q.set_defaults(run=_cmd_pi)
 
     q = sub.add_parser("prime-powers", parents=[common, sieve_limit])
-    q.add_argument("x", type=float)
+    q.add_argument("x", type=_finite_float)
     q.set_defaults(run=_cmd_prime_powers)
 
     q = sub.add_parser("j", parents=[common, sieve_limit])
-    q.add_argument("x", type=float)
+    q.add_argument("x", type=_finite_float)
     q.set_defaults(run=_cmd_j)
 
     tp = sub.add_parser("tuples", parents=[]).add_subparsers(dest="subcommand",
@@ -224,21 +235,21 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(run=_cmd_tuples_power)
 
     q = sub.add_parser("localize", parents=[common, sieve_limit])
-    q.add_argument("x", type=float)
+    q.add_argument("x", type=_finite_float)
     q.set_defaults(run=_cmd_localize)
 
     ep = sub.add_parser("explicit", parents=[]).add_subparsers(dest="subcommand",
                                                                required=True)
     q = ep.add_parser("pi", parents=[common])
-    q.add_argument("x", type=float)
+    q.add_argument("x", type=_finite_float)
     q.add_argument("--zeros", type=int, default=None,
                    help="number of zeros to use (default: whole table)")
     q.set_defaults(run=_cmd_explicit_pi)
 
     q = sub.add_parser("perron", parents=[common])
-    q.add_argument("x", type=float)
-    q.add_argument("c", type=float)
-    q.add_argument("T", type=float)
+    q.add_argument("x", type=_finite_float)
+    q.add_argument("c", type=_finite_float)
+    q.add_argument("T", type=_finite_float)
     q.set_defaults(run=_cmd_perron)
 
     q = sub.add_parser("singular-series", parents=[common])
@@ -250,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp = sub.add_parser("lattice", parents=[]).add_subparsers(dest="subcommand",
                                                               required=True)
     q = lp.add_parser("circle", parents=[common])
-    q.add_argument("R", type=float)
+    q.add_argument("R", type=_finite_float)
     q.add_argument("--method", choices=lattice.METHODS, default="direct")
     q.set_defaults(run=_cmd_lattice_circle)
     q = lp.add_parser("divisor", parents=[common])
@@ -259,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(run=_cmd_lattice_divisor)
     q = lp.add_parser("fit", parents=[common])
     q.add_argument("--shape", choices=("circle", "divisor", "ball3"), required=True)
-    q.add_argument("--from", type=float, required=True)
-    q.add_argument("--to", type=float, required=True)
+    q.add_argument("--from", type=_finite_float, required=True)
+    q.add_argument("--to", type=_finite_float, required=True)
     q.add_argument("--samples", type=int, default=32)
     q.set_defaults(run=_cmd_lattice_fit)
 

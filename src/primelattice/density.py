@@ -15,25 +15,16 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, log
+from math import log
 from typing import IO, Optional
 
 import numpy as np
 
 from .quadrature import integrate
-from .sieve import ArithTable, build_table
+from .sieve import ArithTable, _simple_prime_list, build_table
 from .tuples import OffsetSet, factor_sorted
 
 DEFAULT_PRIME_LIMIT = 10 ** 6
-
-
-def _primes_upto(n: int) -> np.ndarray:
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -59,7 +50,7 @@ def singular_series(H: OffsetSet, prime_limit: int = DEFAULT_PRIME_LIMIT) -> Sin
     k = H.k
     if k == 1:
         return SingularSeriesValue(1.0, prime_limit, 0.0)
-    primes = _primes_upto(prime_limit)
+    primes = _simple_prime_list(prime_limit)
     # k <= max_offset + 1, so past this cut 1 - k/p stays strictly positive
     small_cut = int(np.searchsorted(primes, H.max_offset + 1, side="right"))
     log_total = 0.0
@@ -140,14 +131,9 @@ def gallagher_aggregate(k: int = 2, h_max: int = 10 ** 4,
     if h_max < 10:
         raise ValueError(f"need h_max >= 10, got {h_max}")
     table = build_table(max(h_max, 4))
-    twin = _twin_constant(prime_limit).value
     total = 0.0
     for h in range(2, h_max + 1, 2):
-        correction = 1.0
-        for p in factor_sorted(table, h)[0]:
-            if p > 2:
-                correction *= (p - 1.0) / (p - 2.0)
-        total += twin * correction
+        total += twin_pattern_series(h, prime_limit, table=table).value
     return total / h_max
 
 

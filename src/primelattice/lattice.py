@@ -1,17 +1,16 @@
 """Lattice-point counts in planar regions and their boundary error terms.
 
 Every count is exact integer arithmetic; the floats only enter through the
-smooth main terms (area, volume, x log x).  Counts come in up to three
-flavors per region: a direct floor sum, a route through the localization
-identity (floor = ray count + 1), and a comparison-only brute-force oracle.
-The error series fitted here measure how the signed boundary error
-main_term - count grows with the region size.
+smooth main terms (area, volume, x log x).  Each region has one exact
+kernel (method "direct") and a comparison-only brute-force count that does
+not go through it; for a graph the floor-by-floor walk is both.  The error
+series fitted here measure how the signed boundary error main_term - count
+grows with the region size.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,18 +21,18 @@ from typing import IO, Callable, Optional, Sequence
 import numpy as np
 
 from .quadrature import integrate
-from .sieve import ArithTable, build_table, isqrt_array
+from .sieve import isqrt_array
 from .special import EULER_GAMMA
-from .tuples import RAY_ENUM_BOUND, localization_sum
-
-log = logging.getLogger(__name__)
 
 REGION_KINDS = ("graph", "circle_quadrant", "full_circle", "divisor_hyperbola", "ball3")
-METHODS = ("direct", "localization", "brute_force")
+METHODS = ("direct", "brute_force")
 
 CIRCLE_R_MAX = 10 ** 7
 BALL3_R_MAX = 3000
-DIVISOR_DIRECT_MAX = 10 ** 9
+# The hyperbola split sums isqrt(x) int64 quotients.  At 1e16 the whole sum,
+# 2 x H(sqrt x) ~ 3.7e17, stays below 2^63, so no chunk sum can wrap; one
+# call there takes ~1.3 s at threads=1 (0.5 s at 2) on a 2-CPU x86 host.
+DIVISOR_DIRECT_MAX = 10 ** 16
 DIVISOR_BRUTE_MAX = 10 ** 7
 _CHUNK = 1 << 20
 
@@ -89,69 +88,44 @@ def _radius_floor_sq(R):
     return isqrt(m), m
 
 
-def _chunked_isqrt_sum(m: int, lo: int, hi: int, threads: int = 1) -> int:
-    """sum_{n=lo}^{hi} isqrt(m - n^2), exact, chunked for memory and threads."""
+def _chunked_sum(term: Callable, lo: int, hi: int, threads: int = 1) -> int:
+    """sum_{n=lo}^{hi} term(n), exact, for a vectorized int64 term.
+
+    The range is cut into fixed _CHUNK-wide pieces whose integer partials are
+    merged in order, so the result never depends on the thread count.  A pool
+    opens only when there are at least two chunks to share.
+    """
     if hi < lo:
         return 0
-    starts = list(range(lo, hi + 1, _CHUNK))
+    starts = range(lo, hi + 1, _CHUNK)
 
     def one(start: int) -> int:
         ns = np.arange(start, min(start + _CHUNK, hi + 1), dtype=np.int64)
-        return int(np.sum(isqrt_array(m - ns * ns)))
+        return int(np.sum(term(ns)))
 
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return sum(pool.map(one, starts))
-    return sum(one(s) for s in starts)
-
-
-def _floor_via_localization(table: ArithTable, y: float) -> int:
-    # the identity gives floor(y) - 1; values below 2 carry floor 0 or 1
-    if y < 2.0:
-        return int(math.floor(y))
-    return localization_sum(table, y) + 1
+    return sum(map(one, starts))
 
 
 # ---------------------------------------------------------------------------
 # Graph regions
 
 
-def count_under_graph(f: Callable, x_max, method: str = "direct",
-                      table: Optional[ArithTable] = None) -> CountResult:
-    """Sum of floor(f(n)) over integer n in [0, floor(x_max)].
-
-    The localization method recomputes each floor >= 2 as ray count plus one
-    (floor_readings exposes the pair); terms above RAY_ENUM_BOUND fall back
-    to direct floors with a logged notice.
-    """
+def count_under_graph(f: Callable, x_max, method: str = "direct") -> CountResult:
+    """Sum of floor(f(n)) over integer n in [0, floor(x_max)]."""
     _check_method(method)
     n_top = int(math.floor(x_max))
     if n_top < 0:
         raise ValueError("x_max must be >= 0")
-    values = []
+    # brute force for a graph is the same floor-by-floor walk
+    count = 0
     for n in range(n_top + 1):
         y = float(f(n))
         if not math.isfinite(y):
             raise ValueError(f"f is not finite at index {n}")
-        values.append(y)
-
-    if method == "localization":
-        capped = sum(1 for y in values if y > RAY_ENUM_BOUND)
-        if capped:
-            log.info("%d graph terms above localization cap %d, using direct floors",
-                     capped, RAY_ENUM_BOUND)
-        if table is None:
-            top = max((y for y in values if y <= RAY_ENUM_BOUND), default=0.0)
-            table = build_table(max(4, int(top) + 2))
-        count = 0
-        for y in values:
-            if y > RAY_ENUM_BOUND:
-                count += int(math.floor(y))
-            else:
-                count += _floor_via_localization(table, y)
-    else:
-        # brute force for a graph is the same floor-by-floor walk
-        count = sum(int(math.floor(y)) for y in values)
+        count += math.floor(y)
 
     def fv(rs):
         # quadrature hands arrays; plain scalar handles get mapped
@@ -170,24 +144,26 @@ def count_under_graph(f: Callable, x_max, method: str = "direct",
     return CountResult.assemble(count, main, method)
 
 
-def floor_readings(table: ArithTable, y) -> tuple[int, int]:
-    """(localization sum, reconciled floor) for y >= 2; the sum is floor - 1."""
-    if y < 2:
-        raise ValueError("readings need y >= 2")
-    s = localization_sum(table, y)
-    return s, s + 1
-
-
 # ---------------------------------------------------------------------------
 # Circles
 
 
+def _quadrant_sq(m: int, threads: int = 1) -> int:
+    """#{(a,b) : a >= 1, b >= 1, a^2 + b^2 <= m}, split at c = isqrt(m // 2).
+
+    Points with both coordinates <= c always fit (2c^2 <= m) and points with
+    both > c never do, so the count is the c x c square plus two mirrored
+    wings, each an isqrt sum over n in (c, isqrt(m)]: about 0.29 sqrt(m)
+    terms instead of sqrt(m).
+    """
+    c = isqrt(m // 2)
+    wing = _chunked_sum(lambda ns: isqrt_array(m - ns * ns), c + 1, isqrt(m), threads)
+    return c * c + 2 * wing
+
+
 def _disk_count_sq(m: int, threads: int = 1) -> int:
     """#{(a,b) in Z^2 : a^2 + b^2 <= m} for integer m >= 0."""
-    if m < 0:
-        return 0
-    r = isqrt(m)
-    return 1 + 4 * r + 4 * _chunked_isqrt_sum(m, 1, r, threads)
+    return 1 + 4 * isqrt(m) + 4 * _quadrant_sq(m, threads)
 
 
 def _disk_brute_sq(m: int) -> int:
@@ -197,113 +173,46 @@ def _disk_brute_sq(m: int) -> int:
     return sum(int(np.count_nonzero(bs <= m - a * a)) for a in range(-r, r + 1))
 
 
-def gauss_circle_count(R, method: str = "direct", threads: int = 1,
-                       table: Optional[ArithTable] = None) -> CountResult:
-    """Lattice points in the closed disk of radius R, three ways."""
+def gauss_circle_count(R, method: str = "direct", threads: int = 1) -> CountResult:
+    """Lattice points in the closed disk of radius R."""
     _check_method(method)
     if not 0 < R <= CIRCLE_R_MAX:
         raise ValueError(f"need 0 < R <= {CIRCLE_R_MAX}, got {R}")
-    r_floor, m = _radius_floor_sq(R)
+    _, m = _radius_floor_sq(R)
     main = math.pi * float(R) * float(R)
-
-    if method == "direct":
-        return CountResult.assemble(_disk_count_sq(m, threads), main, method)
 
     if method == "brute_force":
         if R > 2000:
             raise ValueError("brute force capped at R <= 2000")
         return CountResult.assemble(_disk_brute_sq(m), main, method)
-
-    if R > RAY_ENUM_BOUND:
-        raise ValueError(f"localization route capped at R <= {RAY_ENUM_BOUND}")
-    if table is None:
-        table = build_table(max(4, r_floor + 2))
-    count = 1
-    count += 4 * (_floor_via_localization(table, float(R)) if R >= 2 else r_floor)
-    for n in range(1, r_floor + 1):
-        # float sqrt of an exact integer; cannot misround across an integer
-        # boundary for radicands below 2^50 (true root is > 1/(2r) away)
-        count += 4 * _floor_via_localization(table, math.sqrt(m - n * n))
-    return CountResult.assemble(count, main, method)
-
-
-@dataclass(frozen=True)
-class QuadrantSplit:
-    """Strict-quadrant count split at c = floor(R/sqrt(2)).
-
-    square_part + 2 * wing_sum reproduces the quadrant: points with both
-    coordinates <= c always fit (2c^2 <= R^2), points with both > c never
-    do, and the two single-wing halves mirror each other.  half_square_total
-    is the floor(R^2/2)-fronted variant of the same assembly, kept for
-    comparison; tests record that it overshoots.
-    """
-    split_at: int
-    square_part: int
-    wing_sum: int
-    total: int
-    half_square_total: int
-
-
-def quadrant_split(R) -> QuadrantSplit:
-    r_floor, m = _radius_floor_sq(R)
-    c = isqrt(m // 2)  # floor(R / sqrt 2)
-    wing = _chunked_isqrt_sum(m, c + 1, r_floor)
-    wing_from_c = _chunked_isqrt_sum(m, c, r_floor)
-    return QuadrantSplit(
-        split_at=c,
-        square_part=c * c,
-        wing_sum=wing,
-        total=c * c + 2 * wing,
-        half_square_total=m // 2 + 2 * wing_from_c,
-    )
+    return CountResult.assemble(_disk_count_sq(m, threads), main, method)
 
 
 def strict_quadrant_count(R) -> int:
     """#{(a,b), a >= 1, b >= 1, a^2 + b^2 <= R^2}."""
-    r_floor, m = _radius_floor_sq(R)
-    return _chunked_isqrt_sum(m, 1, r_floor)
+    return _quadrant_sq(_radius_floor_sq(R)[1])
 
 
 # ---------------------------------------------------------------------------
 # Divisor hyperbola
 
 
-def _divisor_direct(x: int, threads: int = 1) -> int:
-    starts = list(range(1, x + 1, _CHUNK))
-
-    def one(start: int) -> int:
-        ns = np.arange(start, min(start + _CHUNK, x + 1), dtype=np.int64)
-        return int(np.sum(x // ns))
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(one, starts))
-    return sum(one(s) for s in starts)
-
-
-def divisor_count_split(x: int) -> int:
+def divisor_count_split(x: int, threads: int = 1) -> int:
     """Hyperbola-split form 2 sum_{n<=sqrt x} floor(x/n) - floor(sqrt x)^2."""
     x = int(x)
     if x < 1:
         raise ValueError("need x >= 1")
     s = isqrt(x)
-    ns = np.arange(1, s + 1, dtype=np.int64)
-    return 2 * int(np.sum(x // ns)) - s * s
+    return 2 * _chunked_sum(lambda ns: x // ns, 1, s, threads) - s * s
 
 
-def divisor_hyperbola_count(x, method: str = "direct", threads: int = 1,
-                            table: Optional[ArithTable] = None) -> CountResult:
+def divisor_hyperbola_count(x, method: str = "direct", threads: int = 1) -> CountResult:
     """sum_{n<=x} floor(x/n), i.e. lattice points under the hyperbola ab <= x."""
     _check_method(method)
     xi = int(x)
     if xi != x or xi < 1:
         raise ValueError(f"need a positive integer, got {x!r}")
     main = xi * math.log(xi) + (2.0 * EULER_GAMMA - 1.0) * xi
-
-    if method == "direct":
-        if xi > DIVISOR_DIRECT_MAX:
-            raise ValueError(f"direct sum capped at x <= {DIVISOR_DIRECT_MAX}")
-        return CountResult.assemble(_divisor_direct(xi, threads), main, method)
 
     if method == "brute_force":
         # tally divisors of every m <= x; counts the same (a, b) pairs without
@@ -314,16 +223,9 @@ def divisor_hyperbola_count(x, method: str = "direct", threads: int = 1,
         for a in range(1, xi + 1):
             tally[a::a] += 1
         return CountResult.assemble(int(np.sum(tally)), main, method)
-
-    if xi > RAY_ENUM_BOUND:
-        raise ValueError(f"localization route capped at x <= {RAY_ENUM_BOUND}")
-    if table is None:
-        table = build_table(max(4, xi + 2))
-    count = 0
-    for n in range(1, xi + 1):
-        # x/n stays > 1/n away from any other integer, safely beyond one ulp
-        count += _floor_via_localization(table, xi / n)
-    return CountResult.assemble(count, main, method)
+    if xi > DIVISOR_DIRECT_MAX:
+        raise ValueError(f"direct sum capped at x <= {DIVISOR_DIRECT_MAX}")
+    return CountResult.assemble(divisor_count_split(xi, threads), main, method)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +234,7 @@ def divisor_hyperbola_count(x, method: str = "direct", threads: int = 1,
 
 def ball3_count(R, method: str = "direct", threads: int = 1) -> CountResult:
     """#{(a,b,c) in Z^3 : a^2+b^2+c^2 <= R^2} by disk slices along one axis."""
-    if method not in ("direct", "brute_force"):
-        raise ValueError(f"ball3 supports direct and brute_force, got {method!r}")
+    _check_method(method)
     if not 0 < R <= BALL3_R_MAX:
         raise ValueError(f"need 0 < R <= {BALL3_R_MAX}, got {R}")
     r_floor, m = _radius_floor_sq(R)
@@ -351,16 +252,10 @@ def ball3_count(R, method: str = "direct", threads: int = 1) -> CountResult:
                     count += int(np.count_nonzero(cs <= rem))
         return CountResult.assemble(count, main, method)
 
-    slices = list(range(-r_floor, r_floor + 1))
-
-    def one(c: int) -> int:
-        return _disk_count_sq(m - c * c)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            count = sum(pool.map(one, slices))
-    else:
-        count = sum(one(c) for c in slices)
+    # slices c and -c mirror each other.  A slice's wing is at most 0.29 R <
+    # 900 terms, far below one chunk, so threads has nothing to share here.
+    count = _disk_count_sq(m)
+    count += 2 * sum(_disk_count_sq(m - c * c) for c in range(1, r_floor + 1))
     return CountResult.assemble(count, main, method)
 
 
@@ -394,12 +289,7 @@ def _region_counter(region_kind, threads: int = 1) -> Callable:
     if kind in ("circle", "full_circle"):
         return lambda R: gauss_circle_count(R, threads=threads)
     if kind in ("divisor", "divisor_hyperbola", "hyperbola"):
-        def count_divisor(x):
-            xi = int(x)
-            c = divisor_count_split(xi)
-            main = xi * math.log(xi) + (2.0 * EULER_GAMMA - 1.0) * xi
-            return CountResult.assemble(c, main, "direct")
-        return count_divisor
+        return lambda x: divisor_hyperbola_count(x, threads=threads)
     if kind == "ball3":
         return lambda R: ball3_count(R, threads=threads)
     raise ValueError(f"no error series for region kind {kind!r}")

@@ -141,7 +141,7 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> ArithTa
         ) from exc
 
     root = isqrt(limit)
-    small = _simple_prime_list(root)
+    small = _simple_prime_list(root).tolist()
 
     for lo in range(2, limit + 1, segment_size):
         hi = min(lo + segment_size, limit + 1)
@@ -157,16 +157,14 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> ArithTa
     return ArithTable(limit, spf)
 
 
-def _simple_prime_list(n: int) -> list[int]:
-    """Plain boolean Eratosthenes sieve, primes <= n (n is small: sqrt(limit))."""
-    if n < 2:
-        return []
+def _simple_prime_list(n: int) -> np.ndarray:
+    """Plain boolean Eratosthenes sieve: int64 array of the primes <= n."""
     flags = np.ones(n + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, isqrt(n) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.flatnonzero(flags).tolist()
+    return np.flatnonzero(flags).astype(np.int64)
 
 
 # -- arithmetic functions ---------------------------------------------------

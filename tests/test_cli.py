@@ -145,6 +145,21 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["pi", "nan"], ["perron", "10", "nan", "10"],
+                                  ["explicit", "pi", "inf"]])
+def test_non_finite_floats_exit_2(capsys, argv):
+    code, out, err = _capture(capsys, argv)
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "finite" in errors[0]
+    assert "Traceback" not in err
+
+
+def test_localization_method_is_gone(capsys):
+    code, out, _ = _capture(capsys, ["lattice", "circle", "5", "--method", "localization"])
+    assert code == 2 and out == ""
+
+
 def test_computation_errors_exit_1(capsys):
     code, _, err = _capture(capsys, ["pi", "100", "--limit", "50"])
     assert code == 1
