@@ -294,6 +294,9 @@ def run(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError, AssertionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {str(e) or 'no detail'}", file=sys.stderr)
+        return 1
     print(out)
     return 0
 

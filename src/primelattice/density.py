@@ -21,8 +21,8 @@ from typing import IO, Optional
 import numpy as np
 
 from .quadrature import integrate
-from .sieve import ArithTable, _simple_prime_list, build_table
-from .tuples import OffsetSet, factor_sorted
+from .sieve import ArithTable, _simple_prime_list, build_table, factor_sorted
+from .tuples import OffsetSet
 
 DEFAULT_PRIME_LIMIT = 10 ** 6
 

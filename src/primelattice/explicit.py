@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from math import ceil, floor, log, pi
+from math import ceil, floor, isfinite, log, pi
 from typing import Optional, Union
 
 import numpy as np
@@ -307,6 +307,8 @@ def perron_truncated(
     arithmetic (no symmetry folding), so the vanishing imaginary part is a
     real consistency check, reported as imag_residual.
     """
+    if not (isfinite(x) and isfinite(c) and isfinite(t_height)):
+        raise ValueError(f"perron needs finite x, c and T, got {x}, {c}, {t_height}")
     if x <= 0:
         raise ValueError(f"perron needs x > 0, got {x}")
     if x == 1.0:

@@ -34,6 +34,7 @@ BALL3_R_MAX = 3000
 # call there takes ~1.3 s at threads=1 (0.5 s at 2) on a 2-CPU x86 host.
 DIVISOR_DIRECT_MAX = 10 ** 16
 DIVISOR_BRUTE_MAX = 10 ** 7
+GEOMETRIC_SIZES_MAX = 10 ** 4
 _CHUNK = 1 << 20
 
 
@@ -319,6 +320,8 @@ def geometric_sizes(lo: float, hi: float, count: int = 12) -> list:
     """Distinct integer sample sizes, geometrically spaced over [lo, hi]."""
     if not (0 < lo < hi) or count < 2:
         raise ValueError("need 0 < lo < hi and count >= 2")
+    if count > GEOMETRIC_SIZES_MAX:
+        raise ValueError(f"count={count} above the cap {GEOMETRIC_SIZES_MAX}")
     raw = np.geomspace(lo, hi, count)
     out: list = []
     for v in raw:

@@ -13,16 +13,13 @@ used by the CLI is 10**7 (~40 MB).
 
 from __future__ import annotations
 
-import struct
 from fractions import Fraction
 from math import isqrt, log
-from typing import BinaryIO, Optional
+from typing import Optional
 
 import numpy as np
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
-
-_CACHE_MAGIC = b"SPF1"
 
 
 def iroot(x: int, n: int) -> int:
@@ -75,15 +72,17 @@ def isqrt_array(m: np.ndarray) -> np.ndarray:
 
 
 class ArithTable:
-    """Immutable smallest-prime-factor table for 2..limit.
+    """Read-only smallest-prime-factor table for 2..limit, made by build_table.
 
     ``spf[n]`` is the smallest prime dividing n (so spf[n] == n exactly when
-    n is prime).  Construction is segmented; after construction the table is
-    read-only and safe to share between threads.
+    n is prime).  spf and the lazily derived arrays are marked read-only, so
+    the table is safe to share between threads: a race on a lazy array can
+    only build it twice.
     """
 
     def __init__(self, limit: int, spf: np.ndarray):
         self.limit = int(limit)
+        spf.flags.writeable = False
         self.spf = spf
         self._primes: Optional[np.ndarray] = None
         self._is_prime: Optional[np.ndarray] = None
@@ -95,7 +94,9 @@ class ArithTable:
         """Sorted int64 array of all primes <= limit (built lazily)."""
         if self._primes is None:
             n = np.arange(2, self.limit + 1, dtype=np.uint32)
-            self._primes = (np.flatnonzero(self.spf[2:] == n) + 2).astype(np.int64)
+            primes = (np.flatnonzero(self.spf[2:] == n) + 2).astype(np.int64)
+            primes.flags.writeable = False
+            self._primes = primes
         return self._primes
 
     def is_prime_array(self) -> np.ndarray:
@@ -104,6 +105,7 @@ class ArithTable:
             flags = np.zeros(self.limit + 1, dtype=bool)
             n = np.arange(2, self.limit + 1, dtype=np.uint32)
             flags[2:] = self.spf[2:] == n
+            flags.flags.writeable = False
             self._is_prime = flags
         return self._is_prime
 
@@ -170,34 +172,40 @@ def _simple_prime_list(n: int) -> np.ndarray:
 # -- arithmetic functions ---------------------------------------------------
 
 
+def factor_sorted(table: ArithTable, n: int) -> tuple[list[int], list[int]]:
+    """Factor n into (primes ascending, exponents) via the spf table."""
+    table._check_range(n, lo=2)
+    n = int(n)
+    spf = table.spf
+    primes: list[int] = []
+    exps: list[int] = []
+    while n > 1:
+        p = int(spf[n])
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        primes.append(p)
+        exps.append(e)
+    return primes, exps
+
+
 def mu(table: ArithTable, n: int) -> int:
     """Mobius function: (-1)^(number of prime factors) if squarefree, else 0."""
     table._check_range(n)
-    n = int(n)
     if n == 1:
         return 1
-    sign = 1
-    while n > 1:
-        p = int(table.spf[n])
-        n //= p
-        if n % p == 0:
-            return 0
-        sign = -sign
-    return sign
+    primes, exps = factor_sorted(table, n)
+    return 0 if max(exps) > 1 else (-1) ** len(primes)
 
 
 def prime_power_decompose(table: ArithTable, n: int) -> Optional[tuple[int, int]]:
     """Return (p, a) with n == p**a if n is a prime power, else None."""
     table._check_range(n)
-    n = int(n)
     if n == 1:
         return None
-    p = int(table.spf[n])
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    return (p, a) if n == 1 else None
+    primes, exps = factor_sorted(table, n)
+    return (primes[0], exps[0]) if len(primes) == 1 else None
 
 
 def von_mangoldt(table: ArithTable, n: int) -> float:
@@ -258,35 +266,3 @@ def j_exact(table: ArithTable, x) -> Fraction:
         total += Fraction(pi_exact(table, iroot(xf, a)), a)
         a += 1
     return total
-
-
-# -- binary cache -----------------------------------------------------------
-#
-# Format: magic "SPF1", uint64 little-endian limit, then spf entries for
-# n = 2..limit as uint32 little-endian.
-
-
-def save_spf_cache(table: ArithTable, f: BinaryIO) -> None:
-    f.write(_CACHE_MAGIC)
-    f.write(struct.pack("<Q", table.limit))
-    f.write(table.spf[2:].astype("<u4").tobytes())
-
-
-def load_spf_cache(f: BinaryIO) -> ArithTable:
-    magic = f.read(4)
-    if magic != _CACHE_MAGIC:
-        raise ValueError(f"bad spf cache magic {magic!r}")
-    raw = f.read(8)
-    if len(raw) != 8:
-        raise ValueError("truncated spf cache header")
-    (limit,) = struct.unpack("<Q", raw)
-    if limit < 2 or limit >= 1 << 32:
-        raise ValueError(f"spf cache limit {limit} out of range")
-    body = f.read()
-    if len(body) != 4 * (limit - 1):
-        raise ValueError(
-            f"spf cache body has {len(body)} bytes, expected {4 * (limit - 1)}"
-        )
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    spf[2:] = np.frombuffer(body, dtype="<u4")
-    return ArithTable(int(limit), spf)

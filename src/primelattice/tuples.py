@@ -20,7 +20,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .sieve import ArithTable, iroot
+from .sieve import ArithTable, factor_sorted, iroot
 
 RAY_ENUM_BOUND = 10 ** 6
 
@@ -270,24 +270,6 @@ def capital_pi_k(table: ArithTable, x, H: OffsetSet) -> int:
 # ray enumeration: one ray point per integer via its factorization
 
 
-def factor_sorted(table: ArithTable, n: int) -> tuple[list[int], list[int]]:
-    """Factor n into (primes ascending, exponents) via the spf table."""
-    table._check_range(n, lo=2)
-    n = int(n)
-    spf = table.spf
-    primes: list[int] = []
-    exps: list[int] = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        primes.append(p)
-        exps.append(e)
-    return primes, exps
-
-
 def ray_from_integer(table: ArithTable, n: int) -> RayPoint:
     """The unique ray point whose product is n (grouped factorization)."""
     primes, exps = factor_sorted(table, n)
@@ -371,11 +353,20 @@ def enumerate_rays_combinatorial(
 
 
 def _verify_ray_products(table: ArithTable, upto: int, block: int = 1 << 20) -> None:
-    """Check prod-of-factorization == n for every n in (watermark, upto].
+    """Check the spf invariant for every n in (watermark, upto], in blocks.
 
-    Vectorized: repeatedly strip the smallest prime factor across a whole
-    block, accumulating the product; at most log2(upto) passes.  Advances
-    the table's verified watermark so repeated sums stay cheap.
+    With s = spf[n], each n must satisfy
+      1. s >= 2,
+      2. s divides n,
+      3. spf[s] == s,
+      4. s <= spf[n // s] where n // s > 1.
+    1 and 2 make every step of factor_sorted divide n by a divisor >= 2, so
+    its loop ends and its factors multiply back to n.  Given that every fixed
+    point spf[p] == p is prime (the sieve's one claim no local check can
+    confirm), 3 and 4 make spf[n] the smallest prime factor of n, by
+    induction on n.  1 and 2 are checked first: they bound s <= n, which
+    keeps the indexing in 3 and 4 in range.  The table's watermark records
+    the checked prefix, so repeated sums stay cheap.
     """
     done = table._rays_verified_upto
     if upto <= done:
@@ -384,19 +375,14 @@ def _verify_ray_products(table: ArithTable, upto: int, block: int = 1 << 20) -> 
     for lo in range(done + 1, upto + 1, block):
         hi = min(lo + block - 1, upto)
         n = np.arange(lo, hi + 1, dtype=np.int64)
-        rem = n.copy()
-        prod = np.ones_like(n)
-        while True:
-            active = rem > 1
-            if not active.any():
-                break
-            p = spf[rem].astype(np.int64)
-            p[~active] = 1
-            prod *= p
-            rem //= p
-        if not np.array_equal(prod, n):
-            bad = int(n[np.flatnonzero(prod != n)[0]])
-            raise AssertionError(f"factor product mismatch at n={bad}")
+        s = spf[lo : hi + 1].astype(np.int64)
+        bad = (s < 2) | (n % np.maximum(s, 1) != 0)
+        if not bad.any():
+            cof = n // s
+            bad = (spf[s] != s) | ((cof > 1) & (s > spf[cof]))
+        if bad.any():
+            bad_n = lo + int(np.argmax(bad))
+            raise AssertionError(f"spf table invariant fails at n={bad_n}")
         table._rays_verified_upto = hi
 
 
@@ -418,9 +404,7 @@ def localization_sum(table: ArithTable, x, max_x: int = RAY_ENUM_BOUND) -> int:
     if xf > table.limit:
         raise ValueError(f"x={xf} exceeds table limit {table.limit}")
     _verify_ray_products(table, xf)
-    count = xf - 1  # one verified ray per integer in [2, xf]
-    assert count == xf - 1
-    return count
+    return xf - 1  # one verified ray per integer in [2, xf]
 
 
 def localization_report(table: ArithTable, x, max_x: int = RAY_ENUM_BOUND) -> LocalizationReport:

@@ -90,27 +90,30 @@ def crit_3(threads: int):
 def crit_4(threads: int):
     # The trend clause is averaged over the x in {50,...,1000} window (the
     # convergence invariant); the four listed points carry the <= 1.0 bound.
-    # Their own 4-point mean is a fixed constant that happens to tick up
-    # (0.1917 -> 0.1942), reported alongside; see the decisions ledger.
+    # Their own 4-point mean, taken from the same window calls, happens to
+    # tick up as zeros 10 -> 100; it is reported alongside, see the
+    # decisions ledger.
     t0 = time.monotonic()
     table = build_table(1024)
-    probe_errs = [
-        abs(riemann_pi_explicit(x).value - pi_exact(table, x))
-        for x in (50, 100, 500, 1000)
-    ]
+    probes = (50, 100, 500, 1000)
+    probe_errs = [abs(riemann_pi_explicit(x).value - pi_exact(table, x)) for x in probes]
     window = list(range(50, 1001, 50))
     means = {}
+    probe_means = {}
     for zc in (10, 100):
-        errs = [abs(riemann_pi_explicit(x, zero_count=zc).value - pi_exact(table, x))
-                for x in window]
-        means[zc] = sum(errs) / len(errs)
+        errs = {x: abs(riemann_pi_explicit(x, zero_count=zc).value - pi_exact(table, x))
+                for x in window}
+        means[zc] = sum(errs.values()) / len(errs)
+        probe_means[zc] = sum(errs[x] for x in probes) / len(probes)
     elapsed = time.monotonic() - t0
     ok = max(probe_errs) <= 1.0 and means[100] < means[10] and elapsed < 10.0
+    trend = "non-monotone" if probe_means[100] > probe_means[10] else "monotone"
     detail = (f"|error| at x=50,100,500,1000: "
               + ",".join(f"{e:.4f}" for e in probe_errs)
               + f" (max {max(probe_errs):.4f} <= 1.0); mean over x=50..1000 "
               f"{means[10]:.4f} -> {means[100]:.4f} as zeros 10 -> 100 "
-              f"(4-point mean alone: 0.1917 -> 0.1942, non-monotone)")
+              f"(4-point mean alone: {probe_means[10]:.4f} -> {probe_means[100]:.4f}, "
+              f"{trend})")
     return ok, detail
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from primelattice import explicit
+from primelattice import cli, explicit
 from primelattice.cli import ZEROS_ENV, build_parser, run
 
 
@@ -166,6 +166,24 @@ def test_computation_errors_exit_1(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     code, _, err = _capture(capsys, ["perron", "1", "1.5", "100"])
     assert code == 1
+
+
+def test_oversized_fit_sample_count_exits_1(capsys):
+    argv = ["lattice", "fit", "--shape", "circle", "--from", "1", "--to", "100",
+            "--samples", "1000000000"]
+    code, out, err = _capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_memory_error_exits_1(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_pi", exhausted)
+    code, out, err = _capture(capsys, ["pi", "100"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_byte_identical_across_threads(capsys):

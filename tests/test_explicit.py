@@ -172,6 +172,15 @@ def test_perron_domain_errors():
         perron_truncated(2.0, 2.0, -5.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_perron_rejects_non_finite(slot, bad):
+    args = [10.0, 1.5, 100.0]
+    args[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        perron_truncated(*args)
+
+
 # ---------------------------------------------------------------------------
 # prime zeta
 

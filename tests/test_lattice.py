@@ -322,6 +322,8 @@ def test_geometric_sizes():
     assert all(isinstance(s, int) for s in sizes)
     with pytest.raises(ValueError):
         geometric_sizes(100, 10, 5)
+    with pytest.raises(ValueError, match="cap"):
+        geometric_sizes(100, 10 ** 5, 10 ** 4 + 1)
 
 
 def test_error_series_emission():

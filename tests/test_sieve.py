@@ -1,23 +1,23 @@
-import io
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primelattice import sieve
 from primelattice.sieve import (
     ArithTable,
     build_table,
     capital_pi_exact,
+    factor_sorted,
     iroot,
     isqrt_array,
     j_exact,
-    load_spf_cache,
     mu,
     pi_exact,
     prime_power_decompose,
-    save_spf_cache,
     von_mangoldt,
 )
 
@@ -106,6 +106,12 @@ def test_primes_list(table):
     assert not table.is_prime(1)
 
 
+def test_table_arrays_are_read_only(table):
+    for arr in (table.spf, table.primes(), table.is_prime_array()):
+        with pytest.raises(ValueError):
+            arr[2] = 0
+
+
 # ---------------------------------------------------------------------------
 # mu, Lambda, prime powers
 
@@ -147,6 +153,18 @@ def test_von_mangoldt(table):
     # Chebyshev psi(100) = sum Lambda(n), frozen from a direct high-precision sum
     psi = sum(von_mangoldt(table, n) for n in range(1, 101))
     assert psi == pytest.approx(94.04531122935739, rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, LIMIT))
+def test_factorisation_functions_match_trial_division(table, n):
+    fac = factor_ref(n)
+    pa = next(iter(fac.items())) if len(fac) == 1 else None
+    assert mu(table, n) == mu_ref(n)
+    assert prime_power_decompose(table, n) == pa
+    assert von_mangoldt(table, n) == (log(pa[0]) if pa else 0.0)
+    if n >= 2:
+        assert factor_sorted(table, n) == (sorted(fac), [fac[p] for p in sorted(fac)])
 
 
 # ---------------------------------------------------------------------------
@@ -238,40 +256,3 @@ def test_isqrt_array_exact():
     v = isqrt_array(m)
     assert np.all(v.astype(object) ** 2 <= m.astype(object))
     assert np.all((v.astype(object) + 1) ** 2 > m.astype(object))
-
-
-# ---------------------------------------------------------------------------
-# cache round trip
-
-
-def test_cache_roundtrip(table):
-    buf = io.BytesIO()
-    save_spf_cache(table, buf)
-    buf.seek(0)
-    back = load_spf_cache(buf)
-    assert back.limit == table.limit
-    assert np.array_equal(back.spf, table.spf)
-    assert pi_exact(back, 10000) == 1229
-
-
-def test_cache_header_layout(table):
-    buf = io.BytesIO()
-    save_spf_cache(table, buf)
-    raw = buf.getvalue()
-    assert raw[:4] == b"SPF1"
-    assert int.from_bytes(raw[4:12], "little") == LIMIT
-    assert len(raw) == 12 + 4 * (LIMIT - 1)
-    # entry for n=2 is the first body word
-    assert int.from_bytes(raw[12:16], "little") == 2
-
-
-def test_cache_rejects_corruption(table):
-    buf = io.BytesIO()
-    save_spf_cache(table, buf)
-    raw = buf.getvalue()
-    with pytest.raises(ValueError):
-        load_spf_cache(io.BytesIO(b"XXXX" + raw[4:]))
-    with pytest.raises(ValueError):
-        load_spf_cache(io.BytesIO(raw[:-4]))
-    with pytest.raises(ValueError):
-        load_spf_cache(io.BytesIO(raw[:10]))

@@ -2,8 +2,17 @@ import io
 from math import isqrt, log
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from primelattice.sieve import build_table, capital_pi_exact, mu, pi_exact, von_mangoldt
+from primelattice.sieve import (
+    ArithTable,
+    build_table,
+    capital_pi_exact,
+    mu,
+    pi_exact,
+    von_mangoldt,
+)
 from primelattice.tuples import (
     ExponentVector,
     OffsetSet,
@@ -141,6 +150,19 @@ def test_pi_k_equals_weight_sum(table):
         for r in (2, 50, 300):
             s = sum(int(tuple_weight(table, n, H).value) for n in range(2, r + 1))
             assert pi_k(table, r, H) == s
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(1, 15), min_size=1, max_size=3, unique=True),
+    st.integers(2, 5000),
+)
+def test_pi_k_admissible_patterns_match_trial_division(table, halves, r):
+    offs = (0, *sorted(2 * v for v in halves))
+    # admissible: no prime p <= k has every residue class covered
+    assume(all(len({h % p for h in offs}) < p for p in (2, 3, 5)))
+    want = sum(all(is_prime_ref(n + h) for h in offs) for n in range(2, r + 1))
+    assert pi_k(table, r, OffsetSet(offs)) == want
 
 
 def test_pi_k_real_argument_and_bounds(table):
@@ -314,6 +336,14 @@ def test_localization_sits_one_below_floor(table):
         rep = localization_report(table, x)
         assert rep.ray_count == rep.floor_x - 1
         assert rep.offset_from_floor == 1
+
+
+@pytest.mark.parametrize("n, bad", [(12, 1), (12, 4), (15, 5)])
+def test_localization_rejects_corrupt_spf(table, n, bad):
+    spf = table.spf[:1001].copy()
+    spf[n] = bad
+    with pytest.raises(AssertionError, match=f"n={n}$"):
+        localization_sum(ArithTable(1000, spf), 1000)
 
 
 def test_localization_monotone_and_bounds(table):
