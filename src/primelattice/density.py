@@ -25,6 +25,8 @@ from .sieve import ArithTable, _simple_prime_list, build_table, factor_sorted
 from .tuples import OffsetSet
 
 DEFAULT_PRIME_LIMIT = 10 ** 6
+# the sieve's practical limit: the prime list's bool flags take one byte per n
+MAX_PRIME_LIMIT = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,8 @@ def singular_series(H: OffsetSet, prime_limit: int = DEFAULT_PRIME_LIMIT) -> Sin
     """
     if prime_limit < 100:
         raise ValueError(f"prime_limit must be >= 100, got {prime_limit}")
+    if prime_limit > MAX_PRIME_LIMIT:
+        raise ValueError(f"prime_limit must be <= {MAX_PRIME_LIMIT}, got {prime_limit}")
     k = H.k
     if k == 1:
         return SingularSeriesValue(1.0, prime_limit, 0.0)

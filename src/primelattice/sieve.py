@@ -3,12 +3,13 @@
 The central object is :class:`ArithTable`, a segmented smallest-prime-factor
 (spf) table for 2..limit.  Everything else (primality, Mobius mu, von Mangoldt
 Lambda, prime-power decomposition, pi(x), Pi(x), J(x)) is derived from spf on
-demand, so a single 4-byte-per-entry array serves the whole package.
+demand, so a single 2-byte-per-entry array serves the whole package.
 
-Memory bound: spf is stored as uint32, one entry per integer, so the table
-supports limit < 2**32 in principle; practically a limit of 10**8 costs
-~400 MB plus ~46 MB for the lazily built prime list.  The default desk limit
-used by the CLI is 10**7 (~40 MB).
+Memory bound: spf is stored as uint16, one entry per integer, with 0 for
+primes; a composite n < 2**32 has spf[n] <= sqrt(n) < 2**16, so the table
+supports limit < 2**32.  Practically a limit of 10**8 costs ~200 MB plus
+~46 MB for the lazily built prime list and ~6 MB for the prime bitmap.  The
+default desk limit used by the CLI is 10**7 (~20 MB).
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ def isqrt_array(m: np.ndarray) -> np.ndarray:
 class ArithTable:
     """Read-only smallest-prime-factor table for 2..limit, made by build_table.
 
-    ``spf[n]`` is the smallest prime dividing n (so spf[n] == n exactly when
-    n is prime).  spf and the lazily derived arrays are marked read-only, so
-    the table is safe to share between threads: a race on a lazy array can
-    only build it twice.
+    For composite n, ``spf[n]`` is the smallest prime dividing n; for prime
+    n, and for 0 and 1, it is 0.  spf and the lazily derived arrays are marked
+    read-only, so the table is safe to share between threads: a race on a
+    lazy array can only build it twice.
     """
 
     def __init__(self, limit: int, spf: np.ndarray):
@@ -93,25 +94,31 @@ class ArithTable:
     def primes(self) -> np.ndarray:
         """Sorted int64 array of all primes <= limit (built lazily)."""
         if self._primes is None:
-            n = np.arange(2, self.limit + 1, dtype=np.uint32)
-            primes = (np.flatnonzero(self.spf[2:] == n) + 2).astype(np.int64)
+            primes = np.flatnonzero(self.spf[2:] == 0).astype(np.int64) + 2
             primes.flags.writeable = False
             self._primes = primes
         return self._primes
 
     def is_prime_array(self) -> np.ndarray:
-        """Boolean array of length limit+1 with is_prime[n] for n <= limit."""
+        """Odd-only prime bitmap in little-endian uint64 words (built lazily).
+
+        Bit i (bit i % 64 of word i // 64) is set iff 2i + 1 is a prime
+        <= limit; 2 is not represented.  Bits past the limit are 0, and one
+        spare zero word follows the last word holding a bit <= limit, so a
+        read shifted by up to one word never runs off the array.
+        """
         if self._is_prime is None:
-            flags = np.zeros(self.limit + 1, dtype=bool)
-            n = np.arange(2, self.limit + 1, dtype=np.uint32)
-            flags[2:] = self.spf[2:] == n
-            flags.flags.writeable = False
-            self._is_prime = flags
+            words = (self.limit - 1) // 2 // 64 + 2
+            flags = np.zeros(64 * words, dtype=bool)
+            flags[self.primes()[1:] // 2] = True
+            bits = np.packbits(flags, bitorder="little").view("<u8")
+            bits.flags.writeable = False
+            self._is_prime = bits
         return self._is_prime
 
     def is_prime(self, n: int) -> bool:
         self._check_range(n)
-        return n >= 2 and int(self.spf[n]) == n
+        return n >= 2 and int(self.spf[int(n)]) == 0
 
     def _check_range(self, n, lo=1):
         if not float(n).is_integer():
@@ -132,14 +139,16 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> ArithTa
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit >= 1 << 32:
-        raise ValueError("limit must be < 2**32 for the uint32 spf table")
+        raise ValueError(
+            "limit must be < 2**32: the uint16 spf table holds spf[n] <= sqrt(n) < 2**16"
+        )
     if segment_size < 16:
         raise ValueError("segment_size too small")
     try:
-        spf = np.zeros(limit + 1, dtype=np.uint32)
+        spf = np.zeros(limit + 1, dtype=np.uint16)
     except MemoryError as exc:
         raise MemoryError(
-            f"cannot allocate spf table of {4 * (limit + 1)} bytes for limit={limit}"
+            f"cannot allocate spf table of {2 * (limit + 1)} bytes for limit={limit}"
         ) from exc
 
     root = isqrt(limit)
@@ -153,9 +162,7 @@ def build_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> ArithTa
                 continue
             view = spf[start:hi:p]
             view[view == 0] = p
-    # every unmarked n >= 2 has no prime factor <= sqrt(limit) below itself
-    idx = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
-    spf[idx] = idx
+    # every unmarked n >= 2 has no prime factor <= sqrt(limit): it is prime
     return ArithTable(limit, spf)
 
 
@@ -175,12 +182,15 @@ def _simple_prime_list(n: int) -> np.ndarray:
 def factor_sorted(table: ArithTable, n: int) -> tuple[list[int], list[int]]:
     """Factor n into (primes ascending, exponents) via the spf table."""
     table._check_range(n, lo=2)
-    n = int(n)
-    spf = table.spf
+    return _strip_factors(table.spf, int(n))
+
+
+def _strip_factors(spf: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """factor_sorted without the range check: the caller has made it."""
     primes: list[int] = []
     exps: list[int] = []
     while n > 1:
-        p = int(spf[n])
+        p = spf.item(n) or n
         e = 0
         while n % p == 0:
             n //= p
@@ -195,7 +205,7 @@ def mu(table: ArithTable, n: int) -> int:
     table._check_range(n)
     if n == 1:
         return 1
-    primes, exps = factor_sorted(table, n)
+    primes, exps = _strip_factors(table.spf, int(n))
     return 0 if max(exps) > 1 else (-1) ** len(primes)
 
 
@@ -204,7 +214,7 @@ def prime_power_decompose(table: ArithTable, n: int) -> Optional[tuple[int, int]
     table._check_range(n)
     if n == 1:
         return None
-    primes, exps = factor_sorted(table, n)
+    primes, exps = _strip_factors(table.spf, int(n))
     return (primes[0], exps[0]) if len(primes) == 1 else None
 
 
@@ -213,8 +223,8 @@ def von_mangoldt(table: ArithTable, n: int) -> float:
     table._check_range(n)
     if n == 1:
         return 0.0
-    pa = prime_power_decompose(table, n)
-    return log(pa[0]) if pa else 0.0
+    primes, _ = _strip_factors(table.spf, int(n))
+    return log(primes[0]) if len(primes) == 1 else 0.0
 
 
 # -- counting functions -----------------------------------------------------

@@ -172,20 +172,53 @@ def tuple_weight(table: ArithTable, n: int, H: OffsetSet) -> TupleWeight:
     return TupleWeight(value=value, is_indicator=value in (0.0, 1.0))
 
 
+def _check_tuple_range(table: ArithTable, rf: int, H: OffsetSet) -> None:
+    if rf + H.max_offset > table.limit:
+        raise ValueError(
+            f"r + max offset = {rf + H.max_offset} exceeds table limit {table.limit}"
+        )
+
+
+def _odd_base_words(table: ArithTable, rf: int, H: OffsetSet) -> np.ndarray:
+    """Words whose bit i is set iff n = 2i + 1 in [3, rf] has every n + h prime.
+
+    Needs rf >= 2 and only even offsets.  With h = 2s, n + h = 2(i + s) + 1,
+    so each offset reads the odd-only bitmap at bit offset s: a word offset
+    plus two shifts.  The bitmap's spare word keeps the last read in range,
+    and its bit 0 (n = 1) is clear, so only the bits past rf need masking.
+    """
+    bits = table.is_prime_array()
+    top = (rf - 1) // 2
+    nw = top // 64 + 1
+    acc = bits[:nw].copy()
+    for h in H.offsets[1:]:
+        q, b = divmod(h // 2, 64)
+        if b:
+            acc &= (bits[q : q + nw] >> np.uint64(b)) | (
+                bits[q + 1 : q + nw + 1] << np.uint64(64 - b)
+            )
+        else:
+            acc &= bits[q : q + nw]
+    acc[-1] &= np.uint64((1 << (top % 64 + 1)) - 1)  # n > rf
+    return acc
+
+
+def _two_is_base(table: ArithTable, H: OffsetSet) -> bool:
+    """True iff every 2 + h is prime.  With an odd offset h, n = 2 is the
+    only possible base, since n or n + h is otherwise even and above 2."""
+    return all(table.is_prime(2 + h) for h in H.offsets)
+
+
 def pi_k(table: ArithTable, r, H: OffsetSet) -> int:
     """Count bases n <= r (n >= 2) with n + h prime for every offset h."""
     rf = int(floor(r))
     if rf < 2:
         return 0
-    if rf + H.max_offset > table.limit:
-        raise ValueError(
-            f"r + max offset = {rf + H.max_offset} exceeds table limit {table.limit}"
-        )
-    flags = table.is_prime_array()
-    acc = flags[2 : rf + 1].copy()
-    for h in H.offsets[1:]:
-        acc &= flags[2 + h : rf + 1 + h]
-    return int(np.count_nonzero(acc))
+    _check_tuple_range(table, rf, H)
+    if any(h % 2 for h in H.offsets):
+        return int(_two_is_base(table, H))
+    # n = 2 needs 2 + h prime for h >= 2 even, impossible unless k = 1
+    return int(np.bitwise_count(_odd_base_words(table, rf, H)).sum()) + int(H.k == 1)
 
 
 def max_base_for_cutoff(x, H: OffsetSet, m: ExponentVector) -> int:
@@ -254,16 +287,31 @@ def capital_pi_k(table: ArithTable, x, H: OffsetSet) -> int:
 
     Sums pi_k_power over every exponent vector whose minimal achievable
     product (base n = 2) stays <= x; the DFS bound makes the sum finite
-    because every entry is >= 2, so sum(m) <= log2(x).
+    because every entry is >= 2, so sum(m) <= log2(x).  The bases are listed
+    once, up to the largest cutoff base n*, and every vector's count is a
+    search for its n* in that list.
     """
     xf = int(floor(x))
     if xf < 2:
         return 0
     bases = [2 + h for h in H.offsets]
-    total = 0
-    for exps in _exponent_vectors(bases, xf):
-        total += pi_k_power(table, xf, H, ExponentVector(exps))
-    return total
+    n_star = np.array(
+        [max_base_for_cutoff(xf, H, ExponentVector(exps))
+         for exps in _exponent_vectors(bases, xf)],
+        dtype=np.int64,
+    )
+    if n_star.size == 0 or n_star.max() < 2:
+        return 0
+    top = int(n_star.max())
+    _check_tuple_range(table, top, H)
+    if H.k == 1:
+        found = table.primes()
+    elif any(h % 2 for h in H.offsets):
+        return int(np.count_nonzero(n_star >= 2)) if _two_is_base(table, H) else 0
+    else:
+        words = _odd_base_words(table, top, H).astype("<u8", copy=False)
+        found = 2 * np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little")) + 1
+    return int(np.searchsorted(found, n_star, side="right").sum())
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +403,21 @@ def enumerate_rays_combinatorial(
 def _verify_ray_products(table: ArithTable, upto: int, block: int = 1 << 20) -> None:
     """Check the spf invariant for every n in (watermark, upto], in blocks.
 
-    With s = spf[n], each n must satisfy
+    With s = spf[n] and eff(m) = spf[m] or m (the smallest prime factor of m
+    once the table is right), each nonzero entry must satisfy
       1. s >= 2,
       2. s divides n,
-      3. spf[s] == s,
-      4. s <= spf[n // s] where n // s > 1.
+      3. spf[s] == 0,
+      4. s <= eff(n // s).
     1 and 2 make every step of factor_sorted divide n by a divisor >= 2, so
-    its loop ends and its factors multiply back to n.  Given that every fixed
-    point spf[p] == p is prime (the sieve's one claim no local check can
-    confirm), 3 and 4 make spf[n] the smallest prime factor of n, by
-    induction on n.  1 and 2 are checked first: they bound s <= n, which
-    keeps the indexing in 3 and 4 in range.  The table's watermark records
-    the checked prefix, so repeated sums stay cheap.
+    its loop ends and its factors multiply back to n.  4 also rejects s == n,
+    since eff(1) = 1.  Given that every zero entry n >= 2 is prime, 3 and 4
+    make spf[n] the smallest prime factor of n, by induction on n.  A zero
+    entry cannot be checked locally: a composite stored as 0 (spf[12] = 0)
+    passes, and only the sieve vouches for it.  1 and 2 are checked first:
+    they bound s <= n, which keeps the indexing in 3 and 4 in range.  The
+    table's watermark records the checked prefix, so repeated sums stay
+    cheap.
     """
     done = table._rays_verified_upto
     if upto <= done:
@@ -374,14 +425,17 @@ def _verify_ray_products(table: ArithTable, upto: int, block: int = 1 << 20) -> 
     spf = table.spf
     for lo in range(done + 1, upto + 1, block):
         hi = min(lo + block - 1, upto)
-        n = np.arange(lo, hi + 1, dtype=np.int64)
         s = spf[lo : hi + 1].astype(np.int64)
-        bad = (s < 2) | (n % np.maximum(s, 1) != 0)
+        n = np.flatnonzero(s) + lo
+        s = s[s != 0]
+        bad = (s < 2) | (n % s != 0)
         if not bad.any():
             cof = n // s
-            bad = (spf[s] != s) | ((cof > 1) & (s > spf[cof]))
+            eff = spf[cof].astype(np.int64)
+            eff = np.where(eff == 0, cof, eff)
+            bad = (spf[s] != 0) | (s > eff)
         if bad.any():
-            bad_n = lo + int(np.argmax(bad))
+            bad_n = int(n[np.argmax(bad)])
             raise AssertionError(f"spf table invariant fails at n={bad_n}")
         table._rays_verified_upto = hi
 

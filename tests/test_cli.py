@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from primelattice import cli, explicit
+from primelattice import cli, density, explicit
 from primelattice.cli import ZEROS_ENV, build_parser, run
 
 
@@ -174,6 +174,17 @@ def test_oversized_fit_sample_count_exits_1(capsys):
     code, out, err = _capture(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_oversized_prime_limit_exits_1(capsys, monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"sieve to {n} allocated before the cap check")
+
+    monkeypatch.setattr(density, "_simple_prime_list", no_sieve)
+    argv = ["singular-series", "--offsets", "0,2", "--prime-limit", "100000000000"]
+    code, out, err = _capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: prime_limit must be <=") and err.count("\n") == 1
 
 
 def test_memory_error_exits_1(capsys, monkeypatch):

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from primelattice import density
 from primelattice.density import (
+    MAX_PRIME_LIMIT,
     average_capital_pi_k,
     gallagher_aggregate,
     singular_series,
@@ -91,9 +93,17 @@ def test_tail_estimate_covers_refinement():
         assert abs(fine.value - coarse.value) < coarse.tail_estimate
 
 
-def test_prime_limit_validation():
+def test_prime_limit_validation(monkeypatch):
     with pytest.raises(ValueError):
         singular_series(OffsetSet((0, 2)), 99)
+
+    def no_sieve(n):
+        raise AssertionError(f"sieve to {n} allocated before the cap check")
+
+    monkeypatch.setattr(density, "_simple_prime_list", no_sieve)
+    for H in (OffsetSet((0, 2)), OffsetSet((0,))):
+        with pytest.raises(ValueError, match="prime_limit must be <= 100000000"):
+            singular_series(H, MAX_PRIME_LIMIT + 1)
 
 
 def test_average_at_lower_endpoint():

@@ -34,10 +34,11 @@ def table() -> ArithTable:
 
 
 def spf_ref(n: int) -> int:
+    """Smallest prime factor of a composite n; 0 for a prime, as the table stores it."""
     for d in range(2, isqrt(n) + 1):
         if n % d == 0:
             return d
-    return n
+    return 0
 
 
 def mu_ref(n: int) -> int:
@@ -93,17 +94,34 @@ def test_build_rejects_bad_limits():
         build_table(2.5)  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         build_table(100, segment_size=4)
+    with pytest.raises(ValueError, match=r"2\*\*16"):
+        build_table(1 << 32)
+
+
+def bitmap_bits(bits: np.ndarray) -> np.ndarray:
+    """The bitmap's bits in order: entry i is bit i % 64 of word i // 64."""
+    return np.array([(int(w) >> j) & 1 for w in bits for j in range(64)], dtype=np.uint8)
 
 
 def test_primes_list(table):
     ps = table.primes()
     assert ps[:10].tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    # every listed entry is prime, no prime is missed
-    flags = table.is_prime_array()
-    assert np.array_equal(np.flatnonzero(flags), ps)
     for n in range(2, 500):
         assert table.is_prime(n) == all(n % d for d in range(2, n))
     assert not table.is_prime(1)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 127, 128, 129, 255, 256, 257, LIMIT])
+def test_prime_bitmap_layout(limit):
+    # bit i is set iff 2i + 1 is prime; the odd primes are primes() without 2
+    small = build_table(limit)
+    bits = small.is_prime_array()
+    last_word = (limit - 1) // 2 // 64  # the word holding the last odd n <= limit
+    assert bits.dtype == np.dtype("<u8") and len(bits) == last_word + 2
+    assert bits[-1] == 0  # the spare word
+    flags = bitmap_bits(bits)
+    assert np.array_equal(2 * np.flatnonzero(flags) + 1, small.primes()[1:])
+    assert small.is_prime_array() is bits  # built once
 
 
 def test_table_arrays_are_read_only(table):

@@ -1,5 +1,5 @@
 import io
-from math import isqrt, log
+from math import isqrt, log, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +29,7 @@ from primelattice.tuples import (
     ray_product,
     tuple_weight,
     write_ray_csv,
+    _verify_ray_products,
 )
 
 LIMIT = 110_000
@@ -41,6 +42,37 @@ def table():
 
 def is_prime_ref(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+# trial-division flags for the property tests' bases and entries
+REF_MAX = 12_000
+PRIME_REF = [is_prime_ref(n) for n in range(REF_MAX + 1)]
+
+
+def pi_k_ref(r: int, offs) -> int:
+    return sum(all(PRIME_REF[n + h] for h in offs) for n in range(2, r + 1))
+
+
+def vectors_ref(entries, x: int) -> int:
+    """Number of exponent vectors m >= 1 with prod entries[i]^m_i <= x."""
+    if not entries:
+        return 1
+    count, p = 0, entries[0]
+    while p <= x:
+        count += vectors_ref(entries[1:], x // p)
+        p *= entries[0]
+    return count
+
+
+def capital_pi_k_ref(x: int, offs) -> int:
+    """Prime-power tuples with product <= x <= REF_MAX, base by base."""
+    total, n = 0, 2
+    while prod(n + h for h in offs) <= x:
+        entries = [n + h for h in offs]
+        if all(PRIME_REF[e] for e in entries):
+            total += vectors_ref(entries, x)
+        n += 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +195,50 @@ def test_pi_k_admissible_patterns_match_trial_division(table, halves, r):
     assume(all(len({h % p for h in offs}) < p for p in (2, 3, 5)))
     want = sum(all(is_prime_ref(n + h) for h in offs) for n in range(2, r + 1))
     assert pi_k(table, r, OffsetSet(offs)) == want
+
+
+# any parity: admissible, inadmissible, k = 1 (no extra offsets) and odd offsets
+patterns = st.lists(st.integers(1, 30), max_size=3, unique=True).map(
+    lambda extra: (0, *sorted(extra))
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(patterns, st.integers(0, 10_000))
+def test_pi_k_any_pattern_matches_trial_division(table, offs, r):
+    assert pi_k(table, r, OffsetSet(offs)) == pi_k_ref(r, offs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(patterns, st.integers(1, REF_MAX))
+def test_capital_pi_k_any_pattern_matches_trial_division(table, offs, x):
+    assert capital_pi_k(table, x, OffsetSet(offs)) == capital_pi_k_ref(x, offs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from([(0,), (0, 2), (0, 2, 6), (0, 4, 6, 10)]),
+    st.integers(1, 90),
+    st.sampled_from([64, 128]),
+    st.integers(-1, 1),
+)
+def test_pi_k_at_word_edges(table, offs, j, width, d):
+    # bit i of the bitmap is n = 2i + 1, so words turn over at n = 128j + 1
+    r = width * j + d
+    assert pi_k(table, r, OffsetSet(offs)) == pi_k_ref(r, offs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from([(0, 128), (0, 256), (0, 2, 128), (0, 128, 384), (0, 6, 256, 258),
+                     (0, 126), (0, 2, 126, 254), (0, 100, 226)]),
+    st.integers(2, 11_000),
+)
+def test_pi_k_word_shift_edges(table, offs, r):
+    # h / 2 mod 64 in {0, 1, 3, 49, 50, 63}: whole-word reads, and shifts
+    # at both ends of a word
+    assume(r + offs[-1] <= REF_MAX)
+    assert pi_k(table, r, OffsetSet(offs)) == pi_k_ref(r, offs)
 
 
 def test_pi_k_real_argument_and_bounds(table):
@@ -338,12 +414,20 @@ def test_localization_sits_one_below_floor(table):
         assert rep.offset_from_floor == 1
 
 
-@pytest.mark.parametrize("n, bad", [(12, 1), (12, 4), (15, 5)])
+@pytest.mark.parametrize("n, bad", [(12, 1), (12, 4), (15, 5), (13, 13)])
 def test_localization_rejects_corrupt_spf(table, n, bad):
     spf = table.spf[:1001].copy()
     spf[n] = bad
     with pytest.raises(AssertionError, match=f"n={n}$"):
         localization_sum(ArithTable(1000, spf), 1000)
+
+
+def test_localization_cannot_see_a_composite_stored_as_prime(table):
+    # a zero entry claims n is prime, which no local check can refute
+    spf = table.spf[:1001].copy()
+    spf[12] = 0
+    assert localization_sum(ArithTable(1000, spf), 1000) == 999
+    assert "spf[12] = 0" in " ".join(_verify_ray_products.__doc__.split())
 
 
 def test_localization_monotone_and_bounds(table):
