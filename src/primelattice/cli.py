@@ -132,8 +132,7 @@ def _cmd_perron(args) -> str:
     got = explicit.perron_truncated(args.x, args.c, args.T)
     return _emit(
         {"approx": got.approx, "indicator": got.indicator, "bound": got.bound,
-         "error": abs(got.approx - got.indicator), "within_bound": got.within_bound,
-         "imag_residual": got.imag_residual},
+         "error": abs(got.approx - got.indicator), "within_bound": got.within_bound},
         args.format)
 
 
@@ -147,14 +146,13 @@ def _cmd_singular_series(args) -> str:
 
 
 def _cmd_lattice_circle(args) -> str:
-    got = lattice.gauss_circle_count(args.R, method=args.method, threads=args.threads)
+    got = lattice.gauss_circle_count(args.R, threads=args.threads)
     return _emit({"count": got.count, "main_term": got.main_term, "error": got.error},
                  args.format)
 
 
 def _cmd_lattice_divisor(args) -> str:
-    got = lattice.divisor_hyperbola_count(args.x, method=args.method,
-                                          threads=args.threads)
+    got = lattice.divisor_hyperbola_count(args.x, threads=args.threads)
     return _emit({"count": got.count, "main_term": got.main_term, "error": got.error},
                  args.format)
 
@@ -262,11 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                                                               required=True)
     q = lp.add_parser("circle", parents=[common])
     q.add_argument("R", type=_finite_float)
-    q.add_argument("--method", choices=lattice.METHODS, default="direct")
     q.set_defaults(run=_cmd_lattice_circle)
     q = lp.add_parser("divisor", parents=[common])
     q.add_argument("x", type=int)
-    q.add_argument("--method", choices=lattice.METHODS, default="direct")
     q.set_defaults(run=_cmd_lattice_divisor)
     q = lp.add_parser("fit", parents=[common])
     q.add_argument("--shape", choices=("circle", "divisor", "ball3"), required=True)

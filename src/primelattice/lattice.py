@@ -2,10 +2,9 @@
 
 Every count is exact integer arithmetic; the floats only enter through the
 smooth main terms (area, volume, x log x).  Each region has one exact
-kernel (method "direct") and a comparison-only brute-force count that does
-not go through it; for a graph the floor-by-floor walk is both.  The error
-series fitted here measure how the signed boundary error main_term - count
-grows with the region size.
+kernel; the brute-force counts that check them live in the tests.  The
+error series fitted here measure how the signed boundary error
+main_term - count grows with the region size.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import IO, Callable, Optional, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -24,33 +23,14 @@ from .quadrature import integrate
 from .sieve import isqrt_array
 from .special import EULER_GAMMA
 
-REGION_KINDS = ("graph", "circle_quadrant", "full_circle", "divisor_hyperbola", "ball3")
-METHODS = ("direct", "brute_force")
-
 CIRCLE_R_MAX = 10 ** 7
 BALL3_R_MAX = 3000
 # The hyperbola split sums isqrt(x) int64 quotients.  At 1e16 the whole sum,
 # 2 x H(sqrt x) ~ 3.7e17, stays below 2^63, so no chunk sum can wrap; one
 # call there takes ~1.3 s at threads=1 (0.5 s at 2) on a 2-CPU x86 host.
 DIVISOR_DIRECT_MAX = 10 ** 16
-DIVISOR_BRUTE_MAX = 10 ** 7
 GEOMETRIC_SIZES_MAX = 10 ** 4
 _CHUNK = 1 << 20
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    kind: str
-    parameter: float
-    func: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.kind not in REGION_KINDS:
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        if not self.parameter > 0:
-            raise ValueError("region parameter must be positive")
-        if (self.func is not None) != (self.kind == "graph"):
-            raise ValueError("a function handle is required exactly for kind=graph")
 
 
 @dataclass(frozen=True)
@@ -58,13 +38,10 @@ class CountResult:
     count: int
     main_term: float
     error: float  # main_term - count, signed
-    method: str
 
     @classmethod
-    def assemble(cls, count: int, main_term: float, method: str) -> "CountResult":
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
-        return cls(int(count), float(main_term), float(main_term) - int(count), method)
+    def assemble(cls, count: int, main_term: float) -> "CountResult":
+        return cls(int(count), float(main_term), float(main_term) - int(count))
 
 
 @dataclass(frozen=True)
@@ -73,11 +50,6 @@ class ErrorSeries:
     fitted_exponent: float
     residual: float
     fit_window: tuple
-
-
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
 
 
 def _radius_floor_sq(R):
@@ -114,13 +86,11 @@ def _chunked_sum(term: Callable, lo: int, hi: int, threads: int = 1) -> int:
 # Graph regions
 
 
-def count_under_graph(f: Callable, x_max, method: str = "direct") -> CountResult:
+def count_under_graph(f: Callable, x_max) -> CountResult:
     """Sum of floor(f(n)) over integer n in [0, floor(x_max)]."""
-    _check_method(method)
     n_top = int(math.floor(x_max))
     if n_top < 0:
         raise ValueError("x_max must be >= 0")
-    # brute force for a graph is the same floor-by-floor walk
     count = 0
     for n in range(n_top + 1):
         y = float(f(n))
@@ -142,7 +112,7 @@ def count_under_graph(f: Callable, x_max, method: str = "direct") -> CountResult
         main = integrate(fv, 0.0, float(x_max), abs_tol=1e-9)
     else:
         main = 0.0
-    return CountResult.assemble(count, main, method)
+    return CountResult.assemble(count, main)
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +137,13 @@ def _disk_count_sq(m: int, threads: int = 1) -> int:
     return 1 + 4 * isqrt(m) + 4 * _quadrant_sq(m, threads)
 
 
-def _disk_brute_sq(m: int) -> int:
-    # comparison-only oracle: no isqrt on the boundary
-    r = isqrt(m)
-    bs = np.arange(-r, r + 1, dtype=np.int64) ** 2
-    return sum(int(np.count_nonzero(bs <= m - a * a)) for a in range(-r, r + 1))
-
-
-def gauss_circle_count(R, method: str = "direct", threads: int = 1) -> CountResult:
+def gauss_circle_count(R, threads: int = 1) -> CountResult:
     """Lattice points in the closed disk of radius R."""
-    _check_method(method)
     if not 0 < R <= CIRCLE_R_MAX:
         raise ValueError(f"need 0 < R <= {CIRCLE_R_MAX}, got {R}")
     _, m = _radius_floor_sq(R)
     main = math.pi * float(R) * float(R)
-
-    if method == "brute_force":
-        if R > 2000:
-            raise ValueError("brute force capped at R <= 2000")
-        return CountResult.assemble(_disk_brute_sq(m), main, method)
-    return CountResult.assemble(_disk_count_sq(m, threads), main, method)
+    return CountResult.assemble(_disk_count_sq(m, threads), main)
 
 
 def strict_quadrant_count(R) -> int:
@@ -207,57 +164,32 @@ def divisor_count_split(x: int, threads: int = 1) -> int:
     return 2 * _chunked_sum(lambda ns: x // ns, 1, s, threads) - s * s
 
 
-def divisor_hyperbola_count(x, method: str = "direct", threads: int = 1) -> CountResult:
+def divisor_hyperbola_count(x, threads: int = 1) -> CountResult:
     """sum_{n<=x} floor(x/n), i.e. lattice points under the hyperbola ab <= x."""
-    _check_method(method)
     xi = int(x)
     if xi != x or xi < 1:
         raise ValueError(f"need a positive integer, got {x!r}")
     main = xi * math.log(xi) + (2.0 * EULER_GAMMA - 1.0) * xi
-
-    if method == "brute_force":
-        # tally divisors of every m <= x; counts the same (a, b) pairs without
-        # a single division
-        if xi > DIVISOR_BRUTE_MAX:
-            raise ValueError(f"brute force capped at x <= {DIVISOR_BRUTE_MAX}")
-        tally = np.zeros(xi + 1, dtype=np.int64)
-        for a in range(1, xi + 1):
-            tally[a::a] += 1
-        return CountResult.assemble(int(np.sum(tally)), main, method)
     if xi > DIVISOR_DIRECT_MAX:
         raise ValueError(f"direct sum capped at x <= {DIVISOR_DIRECT_MAX}")
-    return CountResult.assemble(divisor_count_split(xi, threads), main, method)
+    return CountResult.assemble(divisor_count_split(xi, threads), main)
 
 
 # ---------------------------------------------------------------------------
 # 3-ball
 
 
-def ball3_count(R, method: str = "direct", threads: int = 1) -> CountResult:
+def ball3_count(R, threads: int = 1) -> CountResult:
     """#{(a,b,c) in Z^3 : a^2+b^2+c^2 <= R^2} by disk slices along one axis."""
-    _check_method(method)
     if not 0 < R <= BALL3_R_MAX:
         raise ValueError(f"need 0 < R <= {BALL3_R_MAX}, got {R}")
     r_floor, m = _radius_floor_sq(R)
     main = 4.0 / 3.0 * math.pi * float(R) ** 3
-
-    if method == "brute_force":
-        if R > 100:
-            raise ValueError("brute force capped at R <= 100")
-        count = 0
-        cs = np.arange(-r_floor, r_floor + 1, dtype=np.int64) ** 2
-        for a in range(-r_floor, r_floor + 1):
-            for b in range(-r_floor, r_floor + 1):
-                rem = m - a * a - b * b
-                if rem >= 0:
-                    count += int(np.count_nonzero(cs <= rem))
-        return CountResult.assemble(count, main, method)
-
     # slices c and -c mirror each other.  A slice's wing is at most 0.29 R <
     # 900 terms, far below one chunk, so threads has nothing to share here.
     count = _disk_count_sq(m)
     count += 2 * sum(_disk_count_sq(m - c * c) for c in range(1, r_floor + 1))
-    return CountResult.assemble(count, main, method)
+    return CountResult.assemble(count, main)
 
 
 # ---------------------------------------------------------------------------
@@ -285,33 +217,30 @@ def fit_error_samples(samples: Sequence[tuple]) -> ErrorSeries:
     return ErrorSeries(tuple(rows), slope, residual, (min(rs), max(rs)))
 
 
-def _region_counter(region_kind, threads: int = 1) -> Callable:
-    kind = region_kind.kind if isinstance(region_kind, RegionSpec) else str(region_kind)
-    if kind in ("circle", "full_circle"):
-        return lambda R: gauss_circle_count(R, threads=threads)
-    if kind in ("divisor", "divisor_hyperbola", "hyperbola"):
-        return lambda x: divisor_hyperbola_count(x, threads=threads)
-    if kind == "ball3":
-        return lambda R: ball3_count(R, threads=threads)
-    raise ValueError(f"no error series for region kind {kind!r}")
-
-
-def error_exponent_fit(region_kind, R_samples: Sequence, threads: int = 1) -> ErrorSeries:
+def error_exponent_fit(region_kind: str, R_samples: Sequence, threads: int = 1) -> ErrorSeries:
     """Measure the boundary-error exponent over a sweep of sizes.
 
-    Needs at least 8 samples spanning at least two decades; the counts are
-    exact, so the only noise in the fit is the arithmetic of |error| itself.
+    region_kind is "circle", "divisor" or "ball3".  Needs at least 8 samples
+    spanning at least two decades; the counts are exact, so the only noise in
+    the fit is the arithmetic of |error| itself.
     """
     rs = sorted(set(float(r) for r in R_samples))
     if len(rs) < 8:
         raise ValueError(f"need >= 8 samples, got {len(rs)}")
     if max(rs) < 100.0 * min(rs):
         raise ValueError("samples must span at least two decades")
-    counter = _region_counter(region_kind, threads)
+    if region_kind == "circle":
+        counter = gauss_circle_count
+    elif region_kind == "divisor":
+        counter = divisor_hyperbola_count
+    elif region_kind == "ball3":
+        counter = ball3_count
+    else:
+        raise ValueError(f"no error series for region kind {region_kind!r}")
     samples = []
     for r in rs:
         r_arg = int(r) if float(r).is_integer() else r
-        got = counter(r_arg)
+        got = counter(r_arg, threads=threads)
         samples.append((float(r), got.count, got.main_term, got.error))
     return fit_error_samples(samples)
 

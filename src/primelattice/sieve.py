@@ -110,7 +110,9 @@ class ArithTable:
         if self._is_prime is None:
             words = (self.limit - 1) // 2 // 64 + 2
             flags = np.zeros(64 * words, dtype=bool)
-            flags[self.primes()[1:] // 2] = True
+            odd = self.spf[1::2]  # n = 2i + 1 <= limit
+            np.equal(odd, 0, out=flags[: odd.size])
+            flags[0] = False  # spf[1] is 0, but 1 is not prime
             bits = np.packbits(flags, bitorder="little").view("<u8")
             bits.flags.writeable = False
             self._is_prime = bits

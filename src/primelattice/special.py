@@ -11,7 +11,9 @@ The mid band exists because the power series cancels catastrophically for
 oscillatory arguments of moderate size, while the asymptotic series has not
 yet bottomed out; the E1 continued fraction (modified Lentz) covers it.  On
 the real line Ei takes its principal-value meaning, so li(x) = Ei(log x) for
-x > 1 without any imaginary part.
+x > 1 without any imaginary part.  Off the axis each regime yields the
+jump-free part h(z) = Ei(z) - i pi sgn(Im z) = -E1(-z) (ei_jump_free), and
+ei_complex adds the jump back.
 """
 
 from __future__ import annotations
@@ -149,6 +151,25 @@ def _ei_asymptotic_complex(z: complex) -> complex:
     return np.exp(z) / z * s
 
 
+def ei_jump_free(z: complex) -> complex:
+    """h(z) = Ei(z) - i pi sgn(Im z) = -E1(-z), for z off the real axis.
+
+    Ei jumps by 2 pi i across the negative real axis; h does not, so a
+    difference h(z) - h(conj z) along a path through that axis keeps every
+    digit, where Ei(z) - Ei(conj z) would add and then remove the jump.
+    """
+    z = complex(z)
+    if z.imag == 0.0:
+        raise ValueError(f"h is taken off the real axis, got {z}")
+    az = abs(z)
+    if az > _ASYMPTOTIC_RADIUS:
+        return _ei_asymptotic_complex(z)
+    if az <= _SERIES_RADIUS or z.real >= 0.9 * az:
+        return _ei_series_complex(z) - 1j * pi * (1.0 if z.imag > 0 else -1.0)
+    w = -z
+    return -np.exp(-w) / _e1_cf_denominator(w)
+
+
 def ei_complex(z: complex) -> complex:
     """Ei continued off the real axis (principal branch; PV on the axis)."""
     z = complex(z)
@@ -156,15 +177,7 @@ def ei_complex(z: complex) -> complex:
         raise ValueError("Ei has a pole at 0")
     if z.imag == 0.0:
         return complex(ei_real(z.real))
-    az = abs(z)
-    half_plane = 1.0 if z.imag > 0 else -1.0
-    if az > _ASYMPTOTIC_RADIUS:
-        return _ei_asymptotic_complex(z) + 1j * pi * half_plane
-    if az <= _SERIES_RADIUS or z.real >= 0.9 * az:
-        return _ei_series_complex(z)
-    w = -z
-    e1w = np.exp(-w) / _e1_cf_denominator(w)
-    return -e1w + 1j * pi * half_plane
+    return ei_jump_free(z) + 1j * pi * (1.0 if z.imag > 0 else -1.0)
 
 
 def li(x: float) -> float:

@@ -23,6 +23,9 @@ import numpy as np
 from .sieve import ArithTable, factor_sorted, iroot
 
 RAY_ENUM_BOUND = 10 ** 6
+# capital_pi_k refuses an x with more exponent vectors than this; the count
+# grows like (log x)^k / k!, so the cap stops a huge x from running for hours
+EXPONENT_VECTORS_MAX = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,6 @@ class RayPoint:
 
 
 @dataclass(frozen=True)
-class TupleWeight:
-    value: float
-    is_indicator: bool
-
-
-@dataclass(frozen=True)
 class LocalizationReport:
     """Measured relation between the all-rays count and floor(x)."""
 
@@ -144,32 +141,7 @@ def ray_product(n: int, H: OffsetSet, m: ExponentVector) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tuple weights and prime k-tuple counts
-
-
-def tuple_weight(table: ArithTable, n: int, H: OffsetSet) -> TupleWeight:
-    """Indicator weight of the tuple at base n.
-
-    Each prime entry n+h contributes a factor mu(p)Lambda(p)/log p = -1; any
-    non-prime entry contributes 0 (a higher prime power has mu = 0, anything
-    else has Lambda = 0).  The leading (-1)^k of the inversion-sign
-    convention is folded in, so the weight is exactly 1 on prime tuples and
-    0 otherwise.  We evaluate the primality route directly; tests check the
-    float mu*Lambda/log product agrees.
-    """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"base must be >= 2, got {n}")
-    if n + H.max_offset > table.limit:
-        raise ValueError(
-            f"n + max offset = {n + H.max_offset} exceeds table limit {table.limit}"
-        )
-    value = 1.0
-    for h in H.offsets:
-        if not table.is_prime(n + h):
-            value = 0.0
-            break
-    return TupleWeight(value=value, is_indicator=value in (0.0, 1.0))
+# prime k-tuple counts
 
 
 def _check_tuple_range(table: ArithTable, rf: int, H: OffsetSet) -> None:
@@ -256,7 +228,10 @@ def pi_k_power(table: ArithTable, x, H: OffsetSet, m: ExponentVector) -> int:
 
 
 def _exponent_vectors(bases: Sequence[int], x: int) -> list[tuple[int, ...]]:
-    """All m >= (1,...,1) with prod bases[i]^{m_i} <= x, DFS order."""
+    """All m >= (1,...,1) with prod bases[i]^{m_i} <= x, DFS order.
+
+    Raises ValueError once more than EXPONENT_VECTORS_MAX vectors are found.
+    """
     k = len(bases)
     # suffix[i] = minimal product of the remaining positions at exponent 1
     suffix = [1] * (k + 1)
@@ -267,6 +242,10 @@ def _exponent_vectors(bases: Sequence[int], x: int) -> list[tuple[int, ...]]:
 
     def rec(i: int, prod: int):
         if i == k:
+            if len(out) == EXPONENT_VECTORS_MAX:
+                raise ValueError(
+                    f"x={x} has more than {EXPONENT_VECTORS_MAX} exponent vectors"
+                )
             out.append(tuple(cur))
             return
         e = 1
@@ -288,22 +267,23 @@ def capital_pi_k(table: ArithTable, x, H: OffsetSet) -> int:
     Sums pi_k_power over every exponent vector whose minimal achievable
     product (base n = 2) stays <= x; the DFS bound makes the sum finite
     because every entry is >= 2, so sum(m) <= log2(x).  The bases are listed
-    once, up to the largest cutoff base n*, and every vector's count is a
-    search for its n* in that list.
+    once, up to the largest cutoff base n* (the all-ones vector's, checked
+    against the table before any vector is listed), and every vector's count
+    is a search for its n* in that list.
     """
     xf = int(floor(x))
     if xf < 2:
         return 0
+    top = max_base_for_cutoff(xf, H, ExponentVector((1,) * H.k))
+    if top < 2:
+        return 0
+    _check_tuple_range(table, top, H)
     bases = [2 + h for h in H.offsets]
     n_star = np.array(
         [max_base_for_cutoff(xf, H, ExponentVector(exps))
          for exps in _exponent_vectors(bases, xf)],
         dtype=np.int64,
     )
-    if n_star.size == 0 or n_star.max() < 2:
-        return 0
-    top = int(n_star.max())
-    _check_tuple_range(table, top, H)
     if H.k == 1:
         found = table.primes()
     elif any(h % 2 for h in H.offsets):
@@ -348,52 +328,6 @@ def enumerate_rays(table: ArithTable, x, max_x: int = RAY_ENUM_BOUND) -> list[Ra
     if xf > table.limit:
         raise ValueError(f"x={xf} exceeds table limit {table.limit}")
     return [ray_from_integer(table, n) for n in range(2, xf + 1)]
-
-
-def enumerate_rays_combinatorial(
-    table: ArithTable, x, max_x: int = 10 ** 4
-) -> list[RayPoint]:
-    """Independent ray generator: choose increasing primes, then exponents.
-
-    Used to cross-validate enumerate_rays; never call it at large x, the
-    prime-subset recursion is only meant for test ranges.
-    """
-    xf = int(floor(x))
-    if xf > max_x:
-        raise ValueError(f"x={xf} above combinatorial bound {max_x}")
-    if xf < 2:
-        return []
-    primes = [int(p) for p in table.primes()[table.primes() <= xf]]
-    rays: list[RayPoint] = []
-
-    def assign_exponents(chosen: list[int]):
-        for exps in _exponent_vectors(chosen, xf):
-            prod = 1
-            for p, e in zip(chosen, exps):
-                prod *= p ** e
-            base = chosen[0]
-            rays.append(
-                RayPoint(
-                    base=base,
-                    offset_set=OffsetSet(tuple(p - base for p in chosen)),
-                    exponents=ExponentVector(exps),
-                    product=prod,
-                )
-            )
-
-    def extend(start: int, chosen: list[int], min_prod: int):
-        if chosen:
-            assign_exponents(chosen)
-        for idx in range(start, len(primes)):
-            p = primes[idx]
-            if min_prod * p > xf:
-                break
-            chosen.append(p)
-            extend(idx + 1, chosen, min_prod * p)
-            chosen.pop()
-
-    extend(0, [], 1)
-    return rays
 
 
 # ---------------------------------------------------------------------------

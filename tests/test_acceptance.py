@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import ACCEPTANCE_LINES
+from lattice_brute import ball_brute, disk_brute
 
 from primelattice.density import average_capital_pi_k, singular_series
 from primelattice.explicit import perron_truncated, prime_zeta, riemann_pi_explicit
@@ -170,12 +171,12 @@ def crit_8(threads: int):
     radii = list(range(40, 2001, 40))  # 50 values
     circle_hits = sum(
         gauss_circle_count(R, threads=threads).count
-        == gauss_circle_count(R, "brute_force").count
+        == disk_brute(R)
         for R in radii)
     div100 = divisor_hyperbola_count(100, threads=threads).count
     ball_radii = (1, 2, 50, 100)
     ball_hits = sum(
-        ball3_count(R, threads=threads).count == ball3_count(R, "brute_force").count
+        ball3_count(R, threads=threads).count == ball_brute(R)
         for R in ball_radii)
     elapsed = time.monotonic() - t0
     ok = (circle_hits == 50 and div100 == 482 and ball_hits == len(ball_radii)

@@ -160,6 +160,28 @@ def test_localization_method_is_gone(capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("shape, size", [("circle", "5"), ("divisor", "100")])
+def test_method_flag_is_gone(capsys, shape, size):
+    code, out, err = _capture(capsys, ["lattice", shape, size, "--method", "brute_force"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --method" in err
+
+
+@pytest.mark.parametrize("args", [["10", "1.5", "1e7"], ["2", "0.001", "1e15"],
+                                  ["0.7404", "1.456", "89675.3"]])
+def test_perron_within_bound(capsys, args):
+    code, out, err = _capture(capsys, ["perron", *args])
+    assert (code, err) == (0, "")
+    assert out.endswith(" within_bound=true\n")
+    assert "imag_residual" not in out
+
+
+def test_perron_overflow_exits_1(capsys):
+    code, out, err = _capture(capsys, ["perron", "1e300", "3", "10"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_computation_errors_exit_1(capsys):
     code, _, err = _capture(capsys, ["pi", "100", "--limit", "50"])
     assert code == 1

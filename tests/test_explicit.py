@@ -1,8 +1,11 @@
 import io
-from math import log
+from math import exp, log
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from primelattice.explicit import (
     ExplicitEval,
@@ -149,16 +152,47 @@ def test_perron_bound_grid():
             for t in (100.0, 1000.0, 10000.0):
                 r = perron_truncated(x, c, t)
                 assert abs(r.approx - r.indicator) <= r.bound, (x, c, t)
-                # rounding in the panel sum scales with the integrand size x^c
-                assert abs(r.imag_residual) < 1e-12 * max(1.0, x ** c), (x, c, t)
                 assert r.within_bound
+                assert r.panels == 0
 
 
-def test_perron_quadrature_converged():
-    # tripling the node budget must not move the answer
-    a = perron_truncated(10.0, 1.5, 1000.0)
-    b = perron_truncated(10.0, 1.5, 1000.0, quadrature_points=3 * 10 * a.panels)
-    assert abs(a.approx - b.approx) < 1e-12
+def _perron_mpmath(x, c, t):
+    """[x > 1] + Im(-E1(-z)) / pi at z = (c + iT) log x, 30 digits."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(c, t) * mpmath.log(mpmath.mpf(x))
+        return (1 if x > 1 else 0) + mpmath.im(-mpmath.e1(-z)) / mpmath.pi
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(log(1e-8), log(1e4)),
+    st.floats(0.2, 3.0),
+    st.floats(log(0.1), log(1e7)),
+)
+def test_perron_matches_mpmath_ei(log_x, c, log_t):
+    x, t = exp(log_x), exp(log_t)
+    assume(x != 1.0)
+    r = perron_truncated(x, c, t)
+    assert abs(r.approx - float(_perron_mpmath(x, c, t))) <= 1e-6 * r.bound, (x, c, t)
+
+
+@pytest.mark.parametrize("x, c, t", [(2.0, 1.5, 5.0), (0.5, 2.0, 10.0),
+                                     (10.0, 1.2, 3.0), (0.1, 1.0, 8.0)])
+def test_perron_matches_segment_quadrature(x, c, t):
+    # the integral itself, (1/2 pi) int_{-T}^{T} x^(c+it) / (c+it) dt, by
+    # mpmath quadrature: the closed form is not checked only against Ei
+    with mpmath.workdps(30):
+        f = lambda u: mpmath.re(mpmath.power(x, mpmath.mpc(c, u)) / mpmath.mpc(c, u))
+        want = mpmath.quad(f, mpmath.linspace(-t, t, 9)) / (2 * mpmath.pi)
+    assert perron_truncated(x, c, t).approx == pytest.approx(float(want), abs=1e-13)
+
+
+def test_perron_overflow_raises():
+    with pytest.raises(OverflowError):
+        perron_truncated(1e300, 3.0, 10.0)  # x^c itself overflows
+    # x^c fits, but e^z / z overflows inside the complex division
+    with pytest.raises(ValueError, match="overflows"):
+        perron_truncated(1e308, 1.0008269985707352, 10.0)
 
 
 def test_perron_domain_errors():

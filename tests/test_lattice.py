@@ -6,10 +6,10 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_brute import ball_brute, disk_brute, divisor_brute
 
 from primelattice.lattice import (
     CountResult,
-    RegionSpec,
     ball3_count,
     count_under_graph,
     divisor_count_split,
@@ -49,26 +49,25 @@ def test_circle_examples():
 
 def test_circle_brute_force_agreement():
     for R in [2, 3, 7, 10, 33, 100, 250, 999, 2000]:
-        assert gauss_circle_count(R).count == gauss_circle_count(R, "brute_force").count
+        assert gauss_circle_count(R).count == disk_brute(R)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 2000))
 def test_circle_matches_brute_integer_radius(R):
-    assert gauss_circle_count(R).count == gauss_circle_count(R, "brute_force").count
+    assert gauss_circle_count(R).count == disk_brute(R)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.01, 2000.0, allow_nan=False, allow_infinity=False))
 def test_circle_matches_brute_fractional_radius(R):
-    assert gauss_circle_count(R).count == gauss_circle_count(R, "brute_force").count
+    assert gauss_circle_count(R).count == disk_brute(R)
 
 
 def test_circle_non_integer_radius():
     for R in [2.5, 5.5, 7.25, 99.9]:
         direct = gauss_circle_count(R).count
-        brute = gauss_circle_count(R, "brute_force").count
-        assert direct == brute
+        assert direct == disk_brute(R)
         # enlarging R within the same integer shell changes nothing
         assert gauss_circle_count(math.floor(R)).count <= direct
 
@@ -107,10 +106,6 @@ def test_circle_range_guards():
         gauss_circle_count(0)
     with pytest.raises(ValueError):
         gauss_circle_count(10 ** 7 + 1)
-    with pytest.raises(ValueError):
-        gauss_circle_count(2001, "brute_force")
-    with pytest.raises(ValueError):
-        gauss_circle_count(5, "nope")
 
 
 def test_circle_threads_identical():
@@ -141,9 +136,10 @@ def test_graph_per_term_floors():
 
 
 def test_graph_methods_agree():
+    # the quarter-disk graph: each floor is an exact integer square root
     f = lambda n: math.sqrt(max(0.0, 5000.0 ** 2 - n * n))
-    want = count_under_graph(f, 5000).count
-    assert count_under_graph(f, 5000, method="brute_force").count == want
+    want = sum(isqrt(5000 ** 2 - n * n) for n in range(5001))
+    assert count_under_graph(f, 5000).count == want
 
 
 def test_graph_main_term_is_integral():
@@ -185,14 +181,12 @@ def test_divisor_split_agreement():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 10 ** 5))
 def test_divisor_matches_brute(x):
-    got = divisor_hyperbola_count(x).count
-    assert got == divisor_hyperbola_count(x, "brute_force").count
+    assert divisor_hyperbola_count(x).count == divisor_brute(x)
 
 
 def test_divisor_brute_agreement():
     for x in [1, 7, 100, 10 ** 4]:
-        want = divisor_hyperbola_count(x).count
-        assert divisor_hyperbola_count(x, "brute_force").count == want
+        assert divisor_hyperbola_count(x).count == divisor_brute(x)
 
 
 def test_divisor_main_term():
@@ -219,10 +213,6 @@ def test_divisor_guards():
     with pytest.raises(ValueError):
         divisor_hyperbola_count(10 ** 16 + 1)
     with pytest.raises(ValueError):
-        divisor_hyperbola_count(5, "localization")
-    with pytest.raises(ValueError):
-        divisor_hyperbola_count(10 ** 7 + 1, "brute_force")
-    with pytest.raises(ValueError):
         divisor_count_split(0)
 
 
@@ -243,7 +233,7 @@ def test_ball3_examples():
 
 def test_ball3_brute_agreement():
     for R in [1, 2, 5, 33, 100]:
-        assert ball3_count(R).count == ball3_count(R, "brute_force").count
+        assert ball3_count(R).count == ball_brute(R)
 
 
 def test_ball3_main_term():
@@ -255,15 +245,13 @@ def test_ball3_guards():
     with pytest.raises(ValueError):
         ball3_count(3001)
     with pytest.raises(ValueError):
-        ball3_count(101, "brute_force")
-    with pytest.raises(ValueError):
-        ball3_count(5, "localization")
+        ball3_count(0)
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.one_of(st.integers(1, 60), st.floats(0.5, 60.0, allow_nan=False)))
 def test_ball3_matches_brute(R):
-    assert ball3_count(R).count == ball3_count(R, "brute_force").count
+    assert ball3_count(R).count == ball_brute(R)
 
 
 def test_ball3_threads_identical():
@@ -297,8 +285,9 @@ def test_fit_sample_validation():
         error_exponent_fit("circle", [100, 200, 400, 100000])
     with pytest.raises(ValueError, match="decades"):
         error_exponent_fit("circle", list(range(100, 108)))
-    with pytest.raises(ValueError, match="kind"):
-        error_exponent_fit("blob", [2 ** k for k in range(7, 18)])
+    for kind in ("blob", "full_circle", "hyperbola"):
+        with pytest.raises(ValueError, match="kind"):
+            error_exponent_fit(kind, [2 ** k for k in range(7, 18)])
 
 
 def test_fit_rejects_zero_errors():
@@ -348,22 +337,7 @@ def test_error_series_emission():
 # types
 
 
-def test_region_spec_validation():
-    RegionSpec("full_circle", 5.0)
-    RegionSpec("graph", 5.0, func=lambda n: n)
-    with pytest.raises(ValueError):
-        RegionSpec("pentagon", 5.0)
-    with pytest.raises(ValueError):
-        RegionSpec("full_circle", 0.0)
-    with pytest.raises(ValueError):
-        RegionSpec("full_circle", 5.0, func=lambda n: n)
-    with pytest.raises(ValueError):
-        RegionSpec("graph", 5.0)
-
-
 def test_count_result_assemble():
-    got = CountResult.assemble(81, 25 * math.pi, "direct")
+    got = CountResult.assemble(81, 25 * math.pi)
     assert got.error == 25 * math.pi - 81
     assert got.count == 81
-    with pytest.raises(ValueError):
-        CountResult.assemble(1, 1.0, "psychic")

@@ -116,6 +116,7 @@ def test_prime_bitmap_layout(limit):
     # bit i is set iff 2i + 1 is prime; the odd primes are primes() without 2
     small = build_table(limit)
     bits = small.is_prime_array()
+    assert small._primes is None  # packed from spf, not from the prime list
     last_word = (limit - 1) // 2 // 64  # the word holding the last odd n <= limit
     assert bits.dtype == np.dtype("<u8") and len(bits) == last_word + 2
     assert bits[-1] == 0  # the spare word

@@ -8,6 +8,7 @@ from primelattice.quadrature import QuadratureCapError, integrate
 from primelattice.special import (
     e1_real,
     ei_complex,
+    ei_jump_free,
     ei_real,
     li,
     li_quadrature,
@@ -146,6 +147,29 @@ def test_ei_complex_real_axis_matches_pv():
         got = ei_complex(complex(x, 0.0))
         assert got.imag == 0.0
         assert got.real == pytest.approx(ei_real(x), rel=1e-14)
+
+
+def test_ei_jump_free_is_minus_e1_of_minus_z():
+    import mpmath
+
+    # one point per regime on each side of the axis: series, continued
+    # fraction, asymptotic, and the near-real series wedge
+    for z in (2 + 3j, -2 - 3j, -12 + 5j, -12 - 5j, -30 + 50j, 60 - 2j, 9 + 0.5j,
+              -40 + 1e-9j):
+        with mpmath.workdps(30):
+            want = complex(-mpmath.e1(-mpmath.mpc(z)))
+        got = ei_jump_free(z)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), z
+        s = 1.0 if z.imag > 0 else -1.0
+        assert ei_complex(z) == got + 1j * pi * s
+
+
+def test_ei_jump_free_is_continuous_across_the_cut():
+    for x in (-0.5, -5.0, -20.0, -60.0):
+        above, below = ei_jump_free(complex(x, 1e-12)), ei_jump_free(complex(x, -1e-12))
+        assert abs(above - below) <= 1e-10 * max(1.0, abs(above)), x
+    with pytest.raises(ValueError):
+        ei_jump_free(complex(-5.0, 0.0))
 
 
 def test_ei_complex_pole():

@@ -13,13 +13,13 @@ from primelattice.sieve import (
     pi_exact,
     von_mangoldt,
 )
+from primelattice import tuples
 from primelattice.tuples import (
     ExponentVector,
     OffsetSet,
     RayPoint,
     capital_pi_k,
     enumerate_rays,
-    enumerate_rays_combinatorial,
     localization_report,
     localization_sum,
     max_base_for_cutoff,
@@ -27,7 +27,6 @@ from primelattice.tuples import (
     pi_k_power,
     ray_from_integer,
     ray_product,
-    tuple_weight,
     write_ray_csv,
     _verify_ray_products,
 )
@@ -111,49 +110,6 @@ def test_ray_point_product_consistency():
 
 
 # ---------------------------------------------------------------------------
-# tuple weights
-
-
-def test_tuple_weight_examples(table):
-    H = OffsetSet((0, 2))
-    assert tuple_weight(table, 3, H).value == 1.0
-    assert tuple_weight(table, 4, H).value == 0.0
-    assert tuple_weight(table, 9, H).value == 0.0  # 9 kills it via mu, not Lambda
-
-
-def test_tuple_weight_indicator_identity(table):
-    # weight is 1 exactly when every shifted entry is prime
-    patterns = [OffsetSet(t) for t in [(0,), (0, 2), (0, 2, 6), (0, 4), (0, 1)]]
-    for H in patterns:
-        for n in range(2, 600):
-            w = tuple_weight(table, n, H)
-            want = all(is_prime_ref(n + h) for h in H.offsets)
-            assert w.value == (1.0 if want else 0.0), (n, H)
-            assert w.is_indicator
-
-
-def test_tuple_weight_matches_float_formula(table):
-    # (-1)^k prod mu(n+h) Lambda(n+h) / log(n+h) from the raw arithmetic
-    # functions, evaluated in floats, agrees with the exact indicator
-    patterns = [OffsetSet(t) for t in [(0,), (0, 2), (0, 6, 8)]]
-    for H in patterns:
-        for n in range(2, 400):
-            prod = (-1.0) ** H.k
-            for h in H.offsets:
-                e = n + h
-                prod *= mu(table, e) * von_mangoldt(table, e) / log(e)
-            got = tuple_weight(table, n, H).value
-            assert got == pytest.approx(prod, abs=1e-12), (n, H)
-
-
-def test_tuple_weight_range_errors(table):
-    with pytest.raises(ValueError):
-        tuple_weight(table, 1, OffsetSet((0,)))
-    with pytest.raises(ValueError):
-        tuple_weight(table, LIMIT, OffsetSet((0, 2)))
-
-
-# ---------------------------------------------------------------------------
 # pi_k
 
 
@@ -178,10 +134,19 @@ def test_pi_k_consecutive_pattern(table):
 
 
 def test_pi_k_equals_weight_sum(table):
-    for H in [OffsetSet((0, 2)), OffsetSet((0, 2, 6)), OffsetSet((0, 4))]:
+    # the tuple weight (-1)^k prod_h mu(n+h) Lambda(n+h) / log(n+h), in
+    # floats from the raw arithmetic functions, is 1 on prime tuples and 0
+    # otherwise (mu kills prime powers, Lambda everything else)
+    for H in [OffsetSet((0,)), OffsetSet((0, 2)), OffsetSet((0, 2, 6)),
+              OffsetSet((0, 4)), OffsetSet((0, 1))]:
         for r in (2, 50, 300):
-            s = sum(int(tuple_weight(table, n, H).value) for n in range(2, r + 1))
-            assert pi_k(table, r, H) == s
+            s = 0.0
+            for n in range(2, r + 1):
+                w = (-1.0) ** H.k
+                for h in H.offsets:
+                    w *= mu(table, n + h) * von_mangoldt(table, n + h) / log(n + h)
+                s += w
+            assert pi_k(table, r, H) == pytest.approx(s, abs=1e-9), (H, r)
 
 
 @settings(max_examples=50, deadline=None)
@@ -319,6 +284,27 @@ def test_capital_pi_k_twin_example(table):
     assert capital_pi_k(table, 100, H) == 4
 
 
+def test_capital_pi_k_checks_range_before_listing_vectors(table, monkeypatch):
+    def no_listing(bases, x):
+        raise AssertionError("exponent vectors listed before the range check")
+
+    monkeypatch.setattr(tuples, "_exponent_vectors", no_listing)
+    with pytest.raises(ValueError, match="exceeds table limit"):
+        capital_pi_k(table, 10 ** 40, OffsetSet((0, 2, 6)))
+
+
+def test_capital_pi_k_caps_exponent_vectors(table, monkeypatch):
+    H = OffsetSet((0, 2))
+    x = 10 ** 4
+    vectors = vectors_ref([2, 4], x)  # the DFS lists m with 2^a 4^b <= x
+    want = capital_pi_k_ref(x, H.offsets)
+    monkeypatch.setattr(tuples, "EXPONENT_VECTORS_MAX", vectors)
+    assert capital_pi_k(table, x, H) == want
+    monkeypatch.setattr(tuples, "EXPONENT_VECTORS_MAX", vectors - 1)
+    with pytest.raises(ValueError, match=f"more than {vectors - 1} exponent vectors"):
+        capital_pi_k(table, x, H)
+
+
 def test_capital_pi_k_monotone(table):
     H = OffsetSet((0, 2))
     prev = 0
@@ -363,17 +349,46 @@ def test_enumerate_rays_prime_entries(table):
             assert is_prime_ref(entry), r
 
 
+def rays_combinatorial(x: int) -> set:
+    """Independent ray generator: choose increasing primes (trial division),
+    then every exponent vector whose product stays <= x."""
+    primes = [p for p in range(2, x + 1) if is_prime_ref(p)]
+    rays = set()
+
+    def exponents(chosen, prod, exps):
+        i = len(exps)
+        if i == len(chosen):
+            base = chosen[0]
+            rays.add((tuple(p - base for p in chosen), tuple(exps), base, prod))
+            return
+        rest = 1
+        for p in chosen[i + 1:]:
+            rest *= p
+        e, q = 1, prod * chosen[i]
+        while q * rest <= x:
+            exponents(chosen, q, exps + [e])
+            e, q = e + 1, q * chosen[i]
+
+    def extend(start, chosen, min_prod):
+        if chosen:
+            exponents(chosen, 1, [])
+        for idx in range(start, len(primes)):
+            p = primes[idx]
+            if min_prod * p > x:
+                break
+            extend(idx + 1, chosen + [p], min_prod * p)
+
+    extend(0, [], 1)
+    return rays
+
+
 def test_enumerate_rays_matches_combinatorial(table):
     for x in (2, 6, 100, 1500):
         via_factoring = {
             (r.offset_set.offsets, r.exponents.exponents, r.base, r.product)
             for r in enumerate_rays(table, x)
         }
-        via_combinatorics = {
-            (r.offset_set.offsets, r.exponents.exponents, r.base, r.product)
-            for r in enumerate_rays_combinatorial(table, x)
-        }
-        assert via_factoring == via_combinatorics
+        assert via_factoring == rays_combinatorial(x)
 
 
 def test_enumerate_rays_bound(table):
