@@ -193,10 +193,21 @@ def _finite_float(text: str) -> float:
     return v
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=_positive_int, default=1)
     common.add_argument("--zero-file", dest="zero_file", default=None,
                         help=f"zero-table file; default ${ZEROS_ENV} or embedded")
 

@@ -19,7 +19,8 @@ import numpy as np
 from ._zeros import ZERO_ORDINATES, ZERO_PRECISION_DIGITS
 from .quadrature import integrate
 from .sieve import ArithTable
-from .special import ei_complex, ei_jump_free, ei_real, rs_z, zeta_real
+from . import special
+from .special import e1_real, ei_complex, ei_jump_free, ei_real, rs_z, zeta_real
 from .tuples import OffsetSet
 
 FIRST_ZERO = 14.134725141735
@@ -178,6 +179,102 @@ class ExplicitEval:
         return self.main_term - self.zero_sum - self.log2_term - self.trivial_zero_sum
 
 
+def _grid_rows(ys: np.ndarray, n_cols: int, evaluate):
+    """Yield evaluate(y, col) over cols 0..n_cols-1 for each y in ys, a row
+    at a time.
+
+    The flattened (y, col) grid is evaluated in passes of at most
+    special.EI_BLOCK points, so memory stays bounded by the block and one
+    row however many rows there are.  The yielded buffer is reused: fold it
+    before asking for the next row.
+    """
+    block = special.EI_BLOCK
+    total = len(ys) * n_cols
+    row = np.empty(n_cols, dtype=np.float64)
+    filled = 0
+    for start in range(0, total, block):
+        flat = np.arange(start, min(start + block, total))
+        vals = evaluate(ys[flat // n_cols], flat % n_cols)
+        pos = 0
+        while pos < len(vals):
+            take = min(n_cols - filled, len(vals) - pos)
+            row[filled:filled + take] = vals[pos:pos + take]
+            filled += take
+            pos += take
+            if filled == n_cols:
+                yield row
+                filled = 0
+
+
+def _trivial_sum(terms: np.ndarray) -> float:
+    # Ei(-2jy) summed left to right; the first term below 1e-14 is the last
+    t = 0.0
+    for term in terms.tolist():
+        t += term
+        if abs(term) < 1e-14:
+            return t
+    raise ArithmeticError("trivial-zero series did not reach 1e-14")
+
+
+def _explicit_evals(xs, zeros, max_m, zero_count) -> list:
+    """riemann_pi_explicit at every x in xs from one Ei grid.
+
+    The rows (x, squarefree m) of all the xs share one ei_complex grid of
+    zero terms and one E1 grid of trivial-zero terms; each row is then
+    folded exactly as a lone evaluation folds it.
+    """
+    if zeros is None:
+        zeros = default_zero_table()
+    if len(zeros) == 0:
+        raise ValueError("empty zero table")
+    used = len(zeros) if zero_count is None else min(zero_count, len(zeros))
+    if used < 1:
+        raise ValueError("need at least one zero")
+    gammas = zeros.ordinates[:used]
+    plans = []
+    for x in xs:
+        big_m = int(floor(log(x) / log(2.0))) if max_m is None else int(max_m)
+        big_m = max(big_m, 1)
+        rows = []
+        for m in range(1, big_m + 1):
+            mu_m = _mu_small(m)
+            if mu_m != 0:
+                rows.append((mu_m / m, log(x) / m))
+        plans.append((big_m, rows))
+    ys = np.array([y for _, rows in plans for _, y in rows])
+
+    def zero_terms(y, j):
+        z = np.empty(len(y), dtype=np.complex128)
+        z.real, z.imag = 0.5 * y, gammas[j] * y
+        return 2.0 * ei_complex(z).real
+
+    def trivial_terms(y, j):
+        return -e1_real(2.0 * (j + 1) * y)
+
+    zero_sums = (_pairwise_sum(r) for r in _grid_rows(ys, used, zero_terms))
+    # E1(u) < e^-u / u < 1e-14 for u >= 30, so j <= 15/y + 1 reaches the stop
+    n_trivial = int(15.0 / float(ys.min())) + 1
+    trivial_sums = (_trivial_sum(r) for r in _grid_rows(ys, n_trivial, trivial_terms))
+    evals = []
+    for big_m, rows in plans:
+        main_term = zero_sum = log2_term = trivial = 0.0
+        for w, y in rows:
+            main_term += w * ei_real(y)
+            zero_sum += w * next(zero_sums)
+            log2_term += w * log(2.0)
+            trivial += w * next(trivial_sums)
+        evals.append(ExplicitEval(
+            value=main_term - zero_sum - log2_term - trivial,
+            main_term=main_term,
+            zero_sum=zero_sum,
+            log2_term=log2_term,
+            trivial_zero_sum=trivial,
+            zeros_used=used,
+            truncation_m=big_m,
+        ))
+    return evals
+
+
 def riemann_pi_explicit(
     x: float,
     zeros: Optional[ZeroTable] = None,
@@ -193,52 +290,7 @@ def riemann_pi_explicit(
     """
     if x < 2:
         raise ValueError(f"explicit evaluation needs x >= 2, got {x}")
-    if zeros is None:
-        zeros = default_zero_table()
-    if len(zeros) == 0:
-        raise ValueError("empty zero table")
-    used = len(zeros) if zero_count is None else min(zero_count, len(zeros))
-    if used < 1:
-        raise ValueError("need at least one zero")
-    gammas = zeros.ordinates[:used]
-    big_m = int(floor(log(x) / log(2.0))) if max_m is None else int(max_m)
-    big_m = max(big_m, 1)
-
-    main_term = 0.0
-    zero_sum = 0.0
-    log2_term = 0.0
-    trivial = 0.0
-    for m in range(1, big_m + 1):
-        mu_m = _mu_small(m)
-        if mu_m == 0:
-            continue
-        w = mu_m / m
-        y = log(x) / m
-        main_term += w * ei_real(y)
-        per_zero = np.empty(used, dtype=np.float64)
-        for j, gamma in enumerate(gammas):
-            per_zero[j] = 2.0 * ei_complex(complex(0.5 * y, gamma * y)).real
-        zero_sum += w * _pairwise_sum(per_zero)
-        log2_term += w * log(2.0)
-        t = 0.0
-        j = 1
-        while True:
-            term = ei_real(-2.0 * j * y)
-            t += term
-            if abs(term) < 1e-14:
-                break
-            j += 1
-        trivial += w * t
-    value = main_term - zero_sum - log2_term - trivial
-    return ExplicitEval(
-        value=value,
-        main_term=main_term,
-        zero_sum=zero_sum,
-        log2_term=log2_term,
-        trivial_zero_sum=trivial,
-        zeros_used=used,
-        truncation_m=big_m,
-    )
+    return _explicit_evals([x], zeros, max_m, zero_count)[0]
 
 
 def capital_pi_explicit(
@@ -247,17 +299,23 @@ def capital_pi_explicit(
     max_m: Optional[int] = None,
     zero_count: Optional[int] = None,
 ) -> ExplicitEval:
-    """Prime-power variant: sum the k=1 evaluation at x^{1/n} while >= 2."""
+    """Prime-power variant: sum the k=1 evaluation at x^{1/n} while >= 2.
+
+    The rows of every root share one Ei grid, and each root's evaluation
+    has the bits riemann_pi_explicit gives it.
+    """
     if x < 2:
         raise ValueError(f"explicit evaluation needs x >= 2, got {x}")
-    value = main = zsum = l2 = triv = 0.0
-    used = 0
     n_max = int(floor(log(x) / log(2.0)))
+    roots = []
     for n in range(1, n_max + 1):
         root = x ** (1.0 / n)
         if root < 2.0:
             break
-        ev = riemann_pi_explicit(root, zeros, max_m=max_m, zero_count=zero_count)
+        roots.append(root)
+    value = main = zsum = l2 = triv = 0.0
+    used = 0
+    for ev in _explicit_evals(roots, zeros, max_m, zero_count):
         value += ev.value
         main += ev.main_term
         zsum += ev.zero_sum
@@ -320,10 +378,13 @@ def perron_truncated(x: float, c: float, t_height: float) -> PerronResult:
     if c <= 0 or t_height <= 0:
         raise ValueError("need c > 0 and T > 0")
     big_l = log(x)
-    bound = x ** c / (pi * t_height * abs(big_l))
+    try:
+        x_c = x ** c
+    except OverflowError:
+        raise ValueError(f"x^c overflows float64 at x={x}, c={c}") from None
+    bound = x_c / (pi * t_height * abs(big_l))
     indicator = 1.0 if x > 1 else 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        h = ei_jump_free(complex(c * big_l, t_height * big_l))
+    h = ei_jump_free(complex(c * big_l, t_height * big_l))  # inf or nan on overflow
     approx = indicator + h.imag / pi
     if not isfinite(approx):
         raise ValueError(f"perron value overflows at x={x}, c={c}, T={t_height}")

@@ -52,6 +52,11 @@ class ErrorSeries:
     fit_window: tuple
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def _radius_floor_sq(R):
     """(floor(R), floor(R^2)) with the square exact for int, float, Fraction."""
     if isinstance(R, int):
@@ -139,6 +144,7 @@ def _disk_count_sq(m: int, threads: int = 1) -> int:
 
 def gauss_circle_count(R, threads: int = 1) -> CountResult:
     """Lattice points in the closed disk of radius R."""
+    _check_threads(threads)
     if not 0 < R <= CIRCLE_R_MAX:
         raise ValueError(f"need 0 < R <= {CIRCLE_R_MAX}, got {R}")
     _, m = _radius_floor_sq(R)
@@ -166,6 +172,7 @@ def divisor_count_split(x: int, threads: int = 1) -> int:
 
 def divisor_hyperbola_count(x, threads: int = 1) -> CountResult:
     """sum_{n<=x} floor(x/n), i.e. lattice points under the hyperbola ab <= x."""
+    _check_threads(threads)
     xi = int(x)
     if xi != x or xi < 1:
         raise ValueError(f"need a positive integer, got {x!r}")
@@ -181,6 +188,7 @@ def divisor_hyperbola_count(x, threads: int = 1) -> CountResult:
 
 def ball3_count(R, threads: int = 1) -> CountResult:
     """#{(a,b,c) in Z^3 : a^2+b^2+c^2 <= R^2} by disk slices along one axis."""
+    _check_threads(threads)
     if not 0 < R <= BALL3_R_MAX:
         raise ValueError(f"need 0 < R <= {BALL3_R_MAX}, got {R}")
     r_floor, m = _radius_floor_sq(R)
@@ -224,6 +232,7 @@ def error_exponent_fit(region_kind: str, R_samples: Sequence, threads: int = 1) 
     spanning at least two decades; the counts are exact, so the only noise in
     the fit is the arithmetic of |error| itself.
     """
+    _check_threads(threads)
     rs = sorted(set(float(r) for r in R_samples))
     if len(rs) < 8:
         raise ValueError(f"need >= 8 samples, got {len(rs)}")

@@ -179,7 +179,17 @@ def test_perron_within_bound(capsys, args):
 def test_perron_overflow_exits_1(capsys):
     code, out, err = _capture(capsys, ["perron", "1e300", "3", "10"])
     assert code == 1 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err == "error: x^c overflows float64 at x=1e+300, c=3.0\n"
+
+
+@pytest.mark.parametrize("argv", [["lattice", "circle", "5", "--threads", "-3"],
+                                  ["lattice", "circle", "5000000", "--threads", "0"],
+                                  ["lattice", "divisor", "100", "--threads", "two"]])
+def test_bad_thread_count_exits_2(capsys, argv):
+    code, out, err = _capture(capsys, argv)
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--threads" in errors[0]
 
 
 def test_computation_errors_exit_1(capsys):

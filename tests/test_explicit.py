@@ -1,5 +1,6 @@
 import io
-from math import exp, log
+import tracemalloc
+from math import exp, floor, log
 
 import mpmath
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from primelattice import special
+from primelattice.cli import run
 from primelattice.explicit import (
     ExplicitEval,
     ZeroTable,
@@ -133,6 +136,83 @@ def test_capital_pi_explicit_values(table):
     assert capital_pi_exact(table, 8) == 6
 
 
+# `explicit pi ... --format json` as printed before the Ei grid was
+# vectorized; the grid must reproduce every digit
+EXPLICIT_GOLDEN = [
+    ("2", '{"value":0.5074072542437699,"main_term":1.0451637801174927,'
+     '"zero_sum":-0.01538055354293777,"log2_term":0.6931471805599453,'
+     '"trivial_zero_sum":-0.1400101011432846,"zeros_used":100}'),
+    ("3.5 --zeros 1", '{"value":2.1148675195019453,"main_term":2.588765078750509,'
+     '"zero_sum":-0.193312974839486,"log2_term":0.6931471805599453,'
+     '"trivial_zero_sum":-0.025936646471895267,"zeros_used":1}'),
+    ("10", '{"value":4.0113916562268965,"main_term":4.592790491482409,'
+     '"zero_sum":0.41417016364708853,"log2_term":0.11552453009332422,'
+     '"trivial_zero_sum":0.05170414151509974,"zeros_used":100}'),
+    ("100", '{"value":24.914743834722614,"main_term":25.78118955694412,'
+     '"zero_sum":0.7737661361472231,"log2_term":0.09241962407465938,'
+     '"trivial_zero_sum":0.0002599619996250767,"zeros_used":100}'),
+    ("12345.678 --zeros 37", '{"value":1474.9015627985734,"main_term":1477.1712687825925,'
+     '"zero_sum":2.3103783168652394,"log2_term":-0.05361907760375467,'
+     '"trivial_zero_sum":0.012946744757793477,"zeros_used":37}'),
+    ("1e6 --zeros 10", '{"value":78516.81923630991,"main_term":78527.34662052737,'
+     '"zero_sum":10.55454437583854,"log2_term":-0.03515354678742236,'
+     '"trivial_zero_sum":0.007993388408603284,"zeros_used":10}'),
+    ("99999989 --zeros 64", '{"value":5761442.446900546,"main_term":5761551.308400968,'
+     '"zero_sum":108.84041630372332,"log2_term":0.02588282484334669,'
+     '"trivial_zero_sum":-0.004798706244764126,"zeros_used":64}'),
+    ("1e8", '{"value":5761408.034562889,"main_term":5761551.90552508,'
+     '"zero_sum":143.84987807309946,"log2_term":0.02588282484334669,'
+     '"trivial_zero_sum":-0.004798706178620424,"zeros_used":100}'),
+]
+
+
+@pytest.mark.parametrize("args, want", EXPLICIT_GOLDEN)
+def test_explicit_pi_golden(capsys, args, want):
+    assert run(["explicit", "pi", *args.split(), "--format", "json"]) == 0
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_explicit_grid_block_size_invariant(monkeypatch):
+    # 20,000 synthetic ordinates x 5 squarefree m at x = 100: the grid has
+    # 100,000 points, but a 1,000-point block keeps the traced peak to the
+    # block's temporaries plus one row of the fold
+    text = "".join(f"{10.0 + 0.37 * k:.6f}\n" for k in range(20000))
+    zeros = load_zero_table(io.StringIO(text), check_first=False)
+    whole = riemann_pi_explicit(100.0, zeros)
+    monkeypatch.setattr(special, "EI_BLOCK", 1000)
+    tracemalloc.start()
+    try:
+        blocked = riemann_pi_explicit(100.0, zeros)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocked == whole
+    assert whole.zeros_used == 20000
+    assert peak < 2_000_000, peak
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(2.0, 1e8), st.integers(1, 100))
+def test_capital_pi_explicit_is_the_per_root_sum(x, zero_count):
+    # the batched roots keep the bits of a separate evaluation at each root
+    value = main = zsum = l2 = triv = 0.0
+    n_max = int(floor(log(x) / log(2.0)))
+    for n in range(1, n_max + 1):
+        root = x ** (1.0 / n)
+        if root < 2.0:
+            break
+        ev = riemann_pi_explicit(root, zero_count=zero_count)
+        value += ev.value
+        main += ev.main_term
+        zsum += ev.zero_sum
+        l2 += ev.log2_term
+        triv += ev.trivial_zero_sum
+    got = capital_pi_explicit(x, zero_count=zero_count)
+    assert (got.value, got.main_term, got.zero_sum, got.log2_term,
+            got.trivial_zero_sum) == (value, main, zsum, l2, triv)
+    assert got.zeros_used == min(zero_count, 100) and got.truncation_m == n_max
+
+
 # ---------------------------------------------------------------------------
 # Perron
 
@@ -188,7 +268,7 @@ def test_perron_matches_segment_quadrature(x, c, t):
 
 
 def test_perron_overflow_raises():
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match=r"x\^c overflows float64 at x=1e\+300, c=3.0"):
         perron_truncated(1e300, 3.0, 10.0)  # x^c itself overflows
     # x^c fits, but e^z / z overflows inside the complex division
     with pytest.raises(ValueError, match="overflows"):

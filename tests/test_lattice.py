@@ -108,6 +108,17 @@ def test_circle_range_guards():
         gauss_circle_count(10 ** 7 + 1)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_rejected(threads):
+    sizes = [10, 30, 100, 300, 1000, 3000, 10000, 30000]
+    for call in (lambda: gauss_circle_count(5, threads=threads),
+                 lambda: divisor_hyperbola_count(100, threads=threads),
+                 lambda: ball3_count(5, threads=threads),
+                 lambda: error_exponent_fit("circle", sizes, threads=threads)):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            call()
+
+
 def test_circle_threads_identical():
     # the wing spans 0.29 R ~ 2.9e6 terms, three chunks, so the pool runs;
     # the integer merge must not depend on it

@@ -1,8 +1,11 @@
-from math import exp, log, pi
+from math import acos, cos, exp, log, pi, sin
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primelattice.quadrature import QuadratureCapError, integrate
 from primelattice.special import (
@@ -149,9 +152,61 @@ def test_ei_complex_real_axis_matches_pv():
         assert got.real == pytest.approx(ei_real(x), rel=1e-14)
 
 
-def test_ei_jump_free_is_minus_e1_of_minus_z():
-    import mpmath
+def _polar(r, theta):
+    return complex(r * cos(theta), r * sin(theta))
 
+
+_ANGLE = st.floats(-pi, pi)
+# each regime, the seams |z| = 8 and |z| = 40 (a few ulps either side) and
+# Re z = 0.9 |z|, and far asymptotic points, where the half-ulp stop ends
+# the sum; Re z stays below 700 so that e^z is finite
+_POINT = st.one_of(
+    st.builds(_polar, st.floats(log(1e-6), log(1e6)).map(exp), _ANGLE),
+    st.builds(_polar, st.sampled_from([8.0, 40.0]), _ANGLE).flatmap(
+        lambda z: st.integers(-3, 3).map(lambda k: z * (1.0 + k * 2.0 ** -52))),
+    st.builds(_polar, st.floats(8.0, 40.0),
+              st.sampled_from([acos(0.9), -acos(0.9)])),
+).filter(lambda z: z.real < 700.0 and z != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_POINT, min_size=1, max_size=12))
+def test_ei_complex_array_matches_mpmath(zs):
+    # error relative to the larger of 1, |Ei(z)| and |e^z / z|: Ei has zeros
+    # (0.3725..., 3.007 +- 5.967i, and a chain along Re z ~ log(pi |z|))
+    # where e^z / z and the jump cancel, and a plain relative error is
+    # meaningless there
+    got = ei_complex(np.array(zs))
+    assert got.shape == (len(zs),)
+    for z, g in zip(zs, got):
+        assert g == ei_complex(z), z  # the array path keeps the scalar bits
+        with mpmath.workdps(30):
+            w = mpmath.mpc(z.real, z.imag)
+            want = complex(mpmath.ei(w))
+            lead = float(abs(mpmath.exp(w) / w))
+        assert abs(g - want) <= 1e-14 * max(1.0, abs(want), lead), z
+
+
+def test_ei_array_shapes_and_axis_points():
+    z = np.array([[3 + 4j, -2.5 + 0j], [0.5 - 14j, 60 + 1e-3j]])
+    got = ei_complex(z)
+    assert got.shape == (2, 2) and got.dtype == np.complex128
+    for zz, g in zip(z.ravel(), got.ravel()):
+        assert g == ei_complex(complex(zz))
+    assert got[0, 1] == complex(ei_real(-2.5))
+    h = ei_jump_free(z[:, 0])
+    assert list(h) == [ei_jump_free(complex(v)) for v in z[:, 0]]
+    u = np.array([0.25, 1.0, 1.5, 30.0])
+    assert list(e1_real(u)) == [e1_real(float(v)) for v in u]
+    with pytest.raises(ValueError):
+        ei_complex(np.array([1 + 1j, 0j]))
+    with pytest.raises(ValueError):
+        ei_jump_free(np.array([1 + 1j, -2 + 0j]))
+    with pytest.raises(ValueError):
+        e1_real(np.array([1.0, -1.0]))
+
+
+def test_ei_jump_free_is_minus_e1_of_minus_z():
     # one point per regime on each side of the axis: series, continued
     # fraction, asymptotic, and the near-real series wedge
     for z in (2 + 3j, -2 - 3j, -12 + 5j, -12 - 5j, -30 + 50j, 60 - 2j, 9 + 0.5j,
@@ -179,28 +234,20 @@ def test_ei_complex_pole():
 
 def test_ei_complex_regime_seams():
     # the three evaluation routes must agree where their regions meet, so
-    # run the competing algorithms at the same point and compare directly
-    from primelattice.special import (
-        _e1_cf_denominator,
-        _ei_asymptotic_complex,
-        _ei_series_complex,
-    )
+    # run the competing kernels at the same points and compare directly
+    from primelattice.special import _h_asymptotic, _h_cf, _h_series
 
-    def via_cf(z):
-        s = 1.0 if z.imag > 0 else -1.0
-        w = -z
-        return -np.exp(-w) / _e1_cf_denominator(w) + 1j * pi * s
+    def run(regime, zs):
+        hr, hi = regime(zs.real.copy(), zs.imag.copy())
+        return hr + 1j * hi
 
-    for theta in (1.2, 2.0, 2.8, -1.5):
-        z = 8.0 * np.exp(1j * theta)
-        a, b = _ei_series_complex(z), via_cf(z)
-        assert abs(a - b) / max(1.0, abs(a)) < 1e-11, ("series/cf", theta)
-    for theta in (1.2, 2.0, 2.8, -1.5):
-        z = 40.0 * np.exp(1j * theta)
-        s = 1.0 if z.imag > 0 else -1.0
-        a = via_cf(z)
-        b = _ei_asymptotic_complex(z) + 1j * pi * s
-        assert abs(a - b) / max(1.0, abs(a)) < 1e-11, ("cf/asymptotic", theta)
+    theta = np.array([1.2, 2.0, 2.8, -1.5])
+    z = 8.0 * np.exp(1j * theta)
+    a, b = run(_h_series, z), run(_h_cf, z)
+    assert np.all(np.abs(a - b) / np.maximum(1.0, np.abs(a)) < 1e-11), "series/cf"
+    z = 40.0 * np.exp(1j * theta)
+    a, b = run(_h_cf, z), run(_h_asymptotic, z)
+    assert np.all(np.abs(a - b) / np.maximum(1.0, np.abs(a)) < 1e-11), "cf/asymptotic"
 
 
 # ---------------------------------------------------------------------------
