@@ -24,6 +24,11 @@ from .special import e1_real, ei_complex, ei_jump_free, ei_real, rs_z, zeta_real
 from .tuples import OffsetSet
 
 FIRST_ZERO = 14.134725141735
+# Largest explicit-formula truncation accepted.  Each squarefree m <= max_m
+# is a row of the Ei grids, and the trivial-zero row of m runs to j ~ 15 m /
+# log x, so an unbounded max_m at small x hangs (x = 2, max_m = 10^4 ran past
+# 20 s).  The default floor(log2 x) stays within it for every x < 2^101.
+MAX_M = 100
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +235,12 @@ def _explicit_evals(xs, zeros, max_m, zero_count) -> list:
     used = len(zeros) if zero_count is None else min(zero_count, len(zeros))
     if used < 1:
         raise ValueError("need at least one zero")
+    if max_m is not None and not (isinstance(max_m, int) and 1 <= max_m <= MAX_M):
+        raise ValueError(f"max_m must be an int in [1, {MAX_M}], got {max_m!r}")
     gammas = zeros.ordinates[:used]
     plans = []
     for x in xs:
-        big_m = int(floor(log(x) / log(2.0))) if max_m is None else int(max_m)
-        big_m = max(big_m, 1)
+        big_m = int(floor(log(x) / log(2.0))) if max_m is None else max_m
         rows = []
         for m in range(1, big_m + 1):
             mu_m = _mu_small(m)

@@ -186,17 +186,52 @@ def divisor_hyperbola_count(x, threads: int = 1) -> CountResult:
 # 3-ball
 
 
+def _ragged_wings(mc: np.ndarray, s: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per slice c, sum of isqrt(mc[c] - n^2) over n in (s[c], s[c] + lengths[c]].
+
+    All the slices' terms go through one isqrt pass; each slice's sum is a
+    difference of one running sum.
+    """
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    ns = np.repeat(s + 1 - starts, lengths) + np.arange(ends[-1], dtype=np.int64)
+    running = np.cumsum(isqrt_array(np.repeat(mc, lengths) - ns * ns))
+    running = np.concatenate(([0], running))
+    return running[ends] - running[starts]
+
+
+# Wing terms per ball3 block.  A sweep of 2^12..2^16, one fresh process per
+# cap and best of 21 on a 2-CPU x86 host, had 2^14 fastest at every R: 0.43,
+# 1.95 and 17 ms at R = 461, 1000 and 3000 (per-slice disks: 10, 23, 94 ms);
+# 2^13 took ~1.2x that, 2^15 ~1.5x and 2^16 ~2x.
+_BALL3_BLOCK = 1 << 14
+
+
 def ball3_count(R, threads: int = 1) -> CountResult:
-    """#{(a,b,c) in Z^3 : a^2+b^2+c^2 <= R^2} by disk slices along one axis."""
+    """#{(a,b,c) in Z^3 : a^2+b^2+c^2 <= R^2} by disk slices along one axis.
+
+    Slice c is the disk of squared radius m_c = m - c^2, split as in
+    _quadrant_sq at s_c = isqrt(m_c // 2); the wings of consecutive slices
+    are summed in blocks of at most _BALL3_BLOCK terms, one isqrt pass each.
+    The whole count is a few array passes, so it runs on one thread whatever
+    threads says.
+    """
     _check_threads(threads)
     if not 0 < R <= BALL3_R_MAX:
         raise ValueError(f"need 0 < R <= {BALL3_R_MAX}, got {R}")
     r_floor, m = _radius_floor_sq(R)
     main = 4.0 / 3.0 * math.pi * float(R) ** 3
-    # slices c and -c mirror each other.  A slice's wing is at most 0.29 R <
-    # 900 terms, far below one chunk, so threads has nothing to share here.
-    count = _disk_count_sq(m)
-    count += 2 * sum(_disk_count_sq(m - c * c) for c in range(1, r_floor + 1))
+    mc = m - np.arange(r_floor + 1, dtype=np.int64) ** 2
+    r, s = isqrt_array(mc), isqrt_array(mc // 2)
+    lengths = r - s
+    # a block of `step` slices holds at most _BALL3_BLOCK wing terms
+    step = max(1, _BALL3_BLOCK // max(1, int(lengths.max())))
+    wing = np.concatenate([
+        _ragged_wings(mc[lo:lo + step], s[lo:lo + step], lengths[lo:lo + step])
+        for lo in range(0, r_floor + 1, step)])
+    disks = 1 + 4 * r + 4 * (s * s + 2 * wing)
+    # slices c and -c mirror each other
+    count = int(disks[0]) + 2 * int(np.sum(disks[1:]))
     return CountResult.assemble(count, main)
 
 
@@ -208,17 +243,24 @@ def fit_error_samples(samples: Sequence[tuple]) -> ErrorSeries:
     """Least-squares slope of log|error| against log R.
 
     Zero-error samples are excluded; if none are left the fit is refused
-    rather than fabricated.
+    rather than fabricated.  The line is the closed-form two-parameter fit
+    with every sum in math.fsum and every log from libm, so the result does
+    not depend on the BLAS, LAPACK or SIMD kernels of the host.  The residual
+    is sqrt(SSR / n).
     """
     rows = [(float(r), int(c), float(mt), float(e)) for (r, c, mt, e) in samples]
-    live = [(r, e) for (r, _, _, e) in rows if abs(e) > 0.0]
+    live = [(math.log(r), math.log(abs(e))) for (r, _, _, e) in rows if abs(e) > 0.0]
     if len(live) < 2:
         raise ValueError("not enough nonzero errors to fit")
-    lx = np.log([r for r, _ in live])
-    ly = np.log([abs(e) for _, e in live])
-    coeffs, res, *_ = np.polyfit(lx, ly, 1, full=True)
-    slope = float(coeffs[0])
-    residual = float(np.sqrt(res[0] / len(live))) if len(res) else 0.0
+    n = len(live)
+    x_mean = math.fsum(x for x, _ in live) / n
+    y_mean = math.fsum(y for _, y in live) / n
+    sxx = math.fsum((x - x_mean) ** 2 for x, _ in live)
+    if sxx == 0.0:
+        raise ValueError("need nonzero errors at two distinct sizes to fit")
+    slope = math.fsum((x - x_mean) * (y - y_mean) for x, y in live) / sxx
+    ssr = math.fsum((y - y_mean - slope * (x - x_mean)) ** 2 for x, y in live)
+    residual = math.sqrt(ssr / n)
     if not math.isfinite(slope):
         raise ValueError("fit produced a non-finite exponent")
     rs = [r for r, *_ in rows]

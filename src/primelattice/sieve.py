@@ -59,12 +59,17 @@ def iroot(x: int, n: int) -> int:
 def isqrt_array(m: np.ndarray) -> np.ndarray:
     """Elementwise floor square root of a nonnegative int64 array.
 
-    A float64 sqrt provides the initial guess; exact int64 comparisons then
-    correct it, so the result satisfies v*v <= m < (v+1)*(v+1) exactly.
-    Valid for m < 2**62 (the +-1 guess correction needs (v+1)**2 in range).
+    Below 2**52 the float64 sqrt already is the floor: m converts exactly,
+    and for k**2 <= m < (k+1)**2 the gap k+1 - sqrt(m) exceeds 1/(2(k+1)) >=
+    2**-27, more than half an ulp of a result below 2**26, so the correctly
+    rounded sqrt lies in [k, k+1).  Larger m take two exact int64 correction
+    sweeps, so v*v <= m < (v+1)*(v+1) holds for every m < 2**62 (the +-1
+    guess correction needs (v+1)**2 in range).
     """
     m = np.asarray(m, dtype=np.int64)
     v = np.sqrt(m.astype(np.float64)).astype(np.int64)
+    if m.size == 0 or m.max() < 2 ** 52:
+        return v
     # float sqrt is within 1 ulp; two correction sweeps settle every entry
     for _ in range(2):
         v = np.where((v + 1) * (v + 1) <= m, v + 1, v)

@@ -1,6 +1,7 @@
 """Tests for lattice-point counting and error-exponent fits."""
 
 import math
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lattice_brute import ball_brute, disk_brute, divisor_brute
 
+from primelattice import lattice
 from primelattice.lattice import (
     CountResult,
     ball3_count,
@@ -265,8 +267,35 @@ def test_ball3_matches_brute(R):
     assert ball3_count(R).count == ball_brute(R)
 
 
+def _ball_columns(R) -> int:
+    """#{(a,b,c) : a^2+b^2+c^2 <= R^2}: one column of 2 isqrt + 1 points per
+    (a, b), summed over a, b >= 0 with the mirror weights, in plain Python."""
+    q = Fraction(R) ** 2
+    m = q.numerator // q.denominator
+    total = 0
+    for a in range(isqrt(m) + 1):
+        ra = m - a * a
+        col = sum(2 * (2 * isqrt(ra - b * b) + 1) for b in range(1, isqrt(ra) + 1))
+        total += (1 if a == 0 else 2) * (col + 2 * isqrt(ra) + 1)
+    return total
+
+
+@pytest.mark.parametrize("R", [400, 1000, Fraction(2345, 3)])
+def test_ball3_matches_column_sum(R):
+    # 3.7e4 to 2.3e5 wing terms: 3 to 19 blocks of _BALL3_BLOCK
+    assert ball3_count(R).count == _ball_columns(R)
+
+
+def test_ball3_block_size_invariant(monkeypatch):
+    want = ball3_count(300)
+    for block in (1, 37, 1 << 20):
+        monkeypatch.setattr(lattice, "_BALL3_BLOCK", block)
+        assert ball3_count(300) == want
+
+
 def test_ball3_threads_identical():
-    assert ball3_count(200, threads=4).count == ball3_count(200, threads=1).count
+    # R = 1000 spans 19 blocks
+    assert ball3_count(1000, threads=4) == ball3_count(1000, threads=1)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +342,27 @@ def test_fit_recovers_planted_slope():
     series = fit_error_samples(rows)
     assert series.fitted_exponent == pytest.approx(0.5, abs=1e-12)
     assert series.residual == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 70), st.floats(-1e6, 1e6).filter(bool)),
+                min_size=3, max_size=40, unique_by=lambda t: t[0]))
+def test_fit_matches_lapack_least_squares(rows):
+    import numpy as np
+
+    # sizes a tenth of a decade apart or more keep both solvers well conditioned
+    rows = [(10.0 ** (k / 10), e) for k, e in rows]
+    series = fit_error_samples([(r, 0, 0.0, e) for r, e in rows])
+    lx = np.log([r for r, _ in rows])
+    ly = np.log([abs(e) for _, e in rows])
+    coeffs, res, *_ = np.polyfit(lx, ly, 1, full=True)
+    assert series.fitted_exponent == pytest.approx(coeffs[0], rel=1e-9, abs=1e-9)
+    assert series.residual == pytest.approx(math.sqrt(res[0] / len(rows)), rel=1e-6, abs=1e-9)
+
+
+def test_fit_needs_two_sizes():
+    with pytest.raises(ValueError, match="two distinct sizes"):
+        fit_error_samples([(10.0, 0, 0.0, 1.0), (10.0, 0, 0.0, 2.0)])
 
 
 def test_geometric_sizes():

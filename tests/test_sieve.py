@@ -275,3 +275,33 @@ def test_isqrt_array_exact():
     v = isqrt_array(m)
     assert np.all(v.astype(object) ** 2 <= m.astype(object))
     assert np.all((v.astype(object) + 1) ** 2 > m.astype(object))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 2 ** 26), min_size=1, max_size=20))
+def test_isqrt_array_at_squares(ks):
+    # k^2 - 1, k^2 and k^2 + 1 are where a float floor would slip; below
+    # k = 2^26 the whole array stays under 2^52 and takes the float floor
+    m = np.array([k * k + d for k in ks for d in (-1, 0, 1)], dtype=np.int64)
+    want = [k + min(d, 0) for k in ks for d in (-1, 0, 1)]
+    assert isqrt_array(m).tolist() == want
+
+
+def test_isqrt_array_float_floor_top():
+    # the smallest gaps k - sqrt(k^2 - 1) below 2^52, all in one float-floor pass
+    k = np.arange(2 ** 26 - 2 ** 16, 2 ** 26, dtype=np.int64)
+    assert np.array_equal(isqrt_array(k * k - 1), k - 1)
+    assert np.array_equal(isqrt_array(k * k), k)
+
+
+def test_isqrt_array_seam_and_empty():
+    seam = [2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1]
+    # one value alone: float floor below 2^52, corrected above, where the
+    # int64 -> float64 conversion itself starts to round
+    above = [k * k + d for k in (2 ** 26 + 1, 2 ** 27 - 2, 2 ** 27 - 1, 2 ** 29 + 3,
+                                 2 ** 31 - 1) for d in (-1, 0, 1)]
+    for m in seam + above:
+        assert isqrt_array(np.array([m])).tolist() == [isqrt(m)]
+    assert isqrt_array(np.array(seam)).tolist() == [isqrt(m) for m in seam]
+    empty = isqrt_array(np.array([], dtype=np.int64))
+    assert empty.shape == (0,) and empty.dtype == np.int64
