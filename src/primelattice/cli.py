@@ -89,6 +89,9 @@ def _cmd_j(args) -> str:
 
 def _cmd_tuples_count(args) -> str:
     H = tuples.OffsetSet.parse(args.offsets)
+    # the table runs to limit + max offset, so the offsets share the cap
+    if H.max_offset > DEFAULT_SIEVE_LIMIT:
+        raise ValueError(f"max offset {H.max_offset} above the cap {DEFAULT_SIEVE_LIMIT}")
     table = _table_for(args.limit, DEFAULT_SIEVE_LIMIT, pad=H.max_offset + 2)
     count = tuples.pi_k(table, args.limit, H)
     return _emit({"offsets": str(H), "limit": args.limit, "count": count},
@@ -109,13 +112,11 @@ def _cmd_tuples_power(args) -> str:
 
 def _cmd_localize(args) -> str:
     table = _table_for(args.x, args.limit)
-    rep = tuples.localization_report(table, args.x)
-    match = "floor-1" if rep.ray_count == rep.floor_x - 1 else (
-        "floor" if rep.ray_count == rep.floor_x else "neither")
-    return _emit(
-        {"sum": rep.ray_count, "floor": rep.floor_x,
-         "floor-1": rep.floor_x - 1, "match": match},
-        args.format)
+    total = tuples.localization_sum(table, args.x)
+    xf = math.floor(args.x)
+    match = "floor-1" if total == xf - 1 else ("floor" if total == xf else "neither")
+    return _emit({"sum": total, "floor": xf, "floor-1": xf - 1, "match": match},
+                 args.format)
 
 
 def _cmd_explicit_pi(args) -> str:
@@ -164,11 +165,9 @@ def _cmd_lattice_fit(args) -> str:
         buf = io.StringIO()
         lattice.write_error_series_csv(series, buf)
         return buf.getvalue().rstrip("\n")
-    summary = lattice.error_series_summary(series)
     return _emit(
-        {"fitted_exponent": summary["fitted_exponent"],
-         "residual": summary["residual"],
-         "window_lo": summary["window"][0], "window_hi": summary["window"][1]},
+        {"fitted_exponent": series.fitted_exponent, "residual": series.residual,
+         "window_lo": series.fit_window[0], "window_hi": series.fit_window[1]},
         args.format)
 
 

@@ -1,4 +1,4 @@
-"""Singular series, conjectured tuple densities, and the Gallagher average.
+"""Singular series and conjectured tuple densities.
 
 The singular series here is the classical Euler product
 
@@ -12,16 +12,13 @@ first-order tail estimate.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from functools import lru_cache
 from math import log
-from typing import IO, Optional
 
 import numpy as np
 
 from .quadrature import integrate
-from .sieve import ArithTable, _simple_prime_list, build_table, factor_sorted
+from .sieve import _simple_prime_list
 from .tuples import OffsetSet
 
 DEFAULT_PRIME_LIMIT = 10 ** 6
@@ -89,64 +86,3 @@ def average_capital_pi_k(x: float, H: OffsetSet, c_value: float, abs_tol: float 
         return 1.0 / acc
 
     return c_value * integrate(f, 2.0, float(x), abs_tol=abs_tol, max_panels=16384)
-
-
-# ---------------------------------------------------------------------------
-# Gallagher-style average over shifted twin patterns
-
-
-@lru_cache(maxsize=8)
-def _twin_constant(prime_limit: int) -> SingularSeriesValue:
-    return singular_series(OffsetSet((0, 2)), prime_limit)
-
-
-def twin_pattern_series(h: int, prime_limit: int = DEFAULT_PRIME_LIMIT,
-                        table: Optional[ArithTable] = None) -> SingularSeriesValue:
-    """C({0,h}) through the twin constant times prod_{odd p | h} (p-1)/(p-2).
-
-    Algebraically identical to singular_series({0,h}, prime_limit) whenever
-    every odd prime divisor of h is <= prime_limit (tests check this), but
-    O(number of divisors) instead of O(pi(prime_limit)) per h.
-    """
-    if h < 1:
-        raise ValueError("need h >= 1")
-    if h % 2 == 1:
-        return SingularSeriesValue(0.0, prime_limit, 0.0)
-    twin = _twin_constant(prime_limit)
-    correction = 1.0
-    if table is None:
-        table = build_table(max(h, 4))
-    for p in factor_sorted(table, h)[0]:
-        if p > 2:
-            correction *= (p - 1.0) / (p - 2.0)
-    return SingularSeriesValue(twin.value * correction, prime_limit,
-                               twin.tail_estimate * correction)
-
-
-def gallagher_aggregate(k: int = 2, h_max: int = 10 ** 4,
-                        prime_limit: int = DEFAULT_PRIME_LIMIT) -> float:
-    """(1/h_max) sum_{h=1}^{h_max} C({0,h}); tends to 1 as h_max grows.
-
-    Odd h contribute 0 (the p=2 factor dies), so only even shifts enter the
-    sum; the normalization still divides by the full h_max.
-    """
-    if k != 2:
-        raise ValueError("only k = 2 is supported at desk scale")
-    if h_max < 10:
-        raise ValueError(f"need h_max >= 10, got {h_max}")
-    table = build_table(max(h_max, 4))
-    total = 0.0
-    for h in range(2, h_max + 1, 2):
-        total += twin_pattern_series(h, prime_limit, table=table).value
-    return total / h_max
-
-
-def write_gallagher_csv(f: IO[str], h_max: int,
-                        prime_limit: int = DEFAULT_PRIME_LIMIT) -> None:
-    """Emit (h, C({0,h})) rows for h = 1..h_max."""
-    table = build_table(max(h_max, 4))
-    w = csv.writer(f, lineterminator="\n")
-    w.writerow(["h", "singular_series"])
-    for h in range(1, h_max + 1):
-        v = twin_pattern_series(h, prime_limit, table=table)
-        w.writerow([h, repr(v.value)])

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._zeros import ZERO_ORDINATES, ZERO_PRECISION_DIGITS
+from ._zeros import ZERO_ORDINATES
 from .quadrature import integrate
 from .sieve import ArithTable
 from . import special
@@ -24,6 +24,10 @@ from .special import e1_real, ei_complex, ei_jump_free, ei_real, rs_z, zeta_real
 from .tuples import OffsetSet
 
 FIRST_ZERO = 14.134725141735
+# how far a table's first ordinate may sit from FIRST_ZERO
+FIRST_ZERO_TOL = 1e-6
+# the fewest ordinates a zero table must hold
+MIN_ZEROS = 100
 # Largest explicit-formula truncation accepted.  Each squarefree m <= max_m
 # is a row of the Ei grids, and the trivial-zero row of m runs to j ~ 15 m /
 # log x, so an unbounded max_m at small x hangs (x = 2, max_m = 10^4 ran past
@@ -40,41 +44,29 @@ class ZeroTable:
     """Increasing ordinates of nontrivial zeros, all taken as 1/2 + i*gamma."""
 
     ordinates: np.ndarray
-    precision: int  # guaranteed decimal digits
 
     def __len__(self):
         return len(self.ordinates)
 
-    def validate(self, minimum_count: int = 100, check_first: bool = True) -> None:
+    def validate(self) -> None:
         g = self.ordinates
-        if len(g) < minimum_count:
-            raise ValueError(f"zero table has {len(g)} entries, need {minimum_count}")
+        if len(g) < MIN_ZEROS:
+            raise ValueError(f"zero table has {len(g)} entries, need {MIN_ZEROS}")
         if not np.all(np.diff(g) > 0):
             raise ValueError("zero ordinates must be strictly increasing")
         if g[0] <= 0:
             raise ValueError("zero ordinates must be positive")
-        if check_first:
-            tol = max(10.0 ** (-self.precision), 1e-6)
-            if abs(float(g[0]) - FIRST_ZERO) > tol:
-                raise ValueError(
-                    f"first ordinate {g[0]} is not the known first zero within {tol}"
-                )
+        if abs(float(g[0]) - FIRST_ZERO) > FIRST_ZERO_TOL:
+            raise ValueError(
+                f"first ordinate {g[0]} is not the known first zero within {FIRST_ZERO_TOL}"
+            )
 
 
-def load_zero_table(
-    source: Union[str, io.TextIOBase],
-    precision: int = 9,
-    minimum_count: int = 100,
-    check_first: bool = True,
-) -> ZeroTable:
-    """Parse one ordinate per line; monotonicity and count are enforced.
-
-    minimum_count and check_first exist so tests can feed tiny synthetic
-    tables; production callers keep the defaults.
-    """
+def load_zero_table(source: Union[str, io.TextIOBase]) -> ZeroTable:
+    """Parse one ordinate per line; the table must pass ZeroTable.validate."""
     if isinstance(source, str):
         with open(source, "r") as f:
-            return load_zero_table(f, precision, minimum_count, check_first)
+            return load_zero_table(f)
     values = []
     for lineno, line in enumerate(source, start=1):
         text = line.strip()
@@ -89,8 +81,8 @@ def load_zero_table(
         values.append(v)
     if not values:
         raise ValueError("zero table stream is empty")
-    table = ZeroTable(np.asarray(values, dtype=np.float64), precision)
-    table.validate(minimum_count=minimum_count, check_first=check_first)
+    table = ZeroTable(np.asarray(values, dtype=np.float64))
+    table.validate()
     return table
 
 
@@ -101,7 +93,7 @@ def default_zero_table() -> ZeroTable:
     """The embedded first-100 table."""
     global _DEFAULT_TABLE
     if _DEFAULT_TABLE is None:
-        t = ZeroTable(np.asarray(ZERO_ORDINATES, dtype=np.float64), ZERO_PRECISION_DIGITS)
+        t = ZeroTable(np.asarray(ZERO_ORDINATES, dtype=np.float64))
         t.validate()
         _DEFAULT_TABLE = t
     return _DEFAULT_TABLE
@@ -179,9 +171,6 @@ class ExplicitEval:
     trivial_zero_sum: float
     zeros_used: int
     truncation_m: int
-
-    def parts_recombine(self) -> float:
-        return self.main_term - self.zero_sum - self.log2_term - self.trivial_zero_sum
 
 
 def _grid_rows(ys: np.ndarray, n_cols: int, evaluate):
@@ -416,7 +405,6 @@ class PrimeZetaResult:
     direct_limit: int
     mobius_value: float
     mobius_tail: float
-    mobius_terms: int
 
     @property
     def value(self) -> float:
@@ -436,7 +424,6 @@ def prime_zeta(
     s: float,
     table: Optional[ArithTable] = None,
     n_limit: Optional[int] = None,
-    mobius_terms: Optional[int] = None,
 ) -> PrimeZetaResult:
     """P(s) = sum over primes p of p^{-s}, evaluated two independent ways.
 
@@ -465,7 +452,7 @@ def prime_zeta(
     eps = float(np.finfo(np.float64).eps)
     direct_tail = n ** (1.0 - s) / (s - 1.0) + eps * (np.log2(n) + 4.0) * direct
 
-    m_terms = int(mobius_terms) if mobius_terms is not None else max(3, ceil(60.0 / s))
+    m_terms = max(3, ceil(60.0 / s))
     mob = 0.0
     for m in range(1, m_terms + 1):
         mu_m = _mu_small(m)
@@ -490,7 +477,6 @@ def prime_zeta(
         direct_limit=n,
         mobius_value=float(mob),
         mobius_tail=float(mob_tail),
-        mobius_terms=m_terms,
     )
 
 

@@ -152,11 +152,6 @@ def gauss_circle_count(R, threads: int = 1) -> CountResult:
     return CountResult.assemble(_disk_count_sq(m, threads), main)
 
 
-def strict_quadrant_count(R) -> int:
-    """#{(a,b), a >= 1, b >= 1, a^2 + b^2 <= R^2}."""
-    return _quadrant_sq(_radius_floor_sq(R)[1])
-
-
 # ---------------------------------------------------------------------------
 # Divisor hyperbola
 
@@ -267,6 +262,14 @@ def fit_error_samples(samples: Sequence[tuple]) -> ErrorSeries:
     return ErrorSeries(tuple(rows), slope, residual, (min(rs), max(rs)))
 
 
+# region kind -> (exact counter, largest size it accepts)
+_FIT_COUNTERS = {
+    "circle": (gauss_circle_count, CIRCLE_R_MAX),
+    "divisor": (divisor_hyperbola_count, DIVISOR_DIRECT_MAX),
+    "ball3": (ball3_count, BALL3_R_MAX),
+}
+
+
 def error_exponent_fit(region_kind: str, R_samples: Sequence, threads: int = 1) -> ErrorSeries:
     """Measure the boundary-error exponent over a sweep of sizes.
 
@@ -280,14 +283,12 @@ def error_exponent_fit(region_kind: str, R_samples: Sequence, threads: int = 1) 
         raise ValueError(f"need >= 8 samples, got {len(rs)}")
     if max(rs) < 100.0 * min(rs):
         raise ValueError("samples must span at least two decades")
-    if region_kind == "circle":
-        counter = gauss_circle_count
-    elif region_kind == "divisor":
-        counter = divisor_hyperbola_count
-    elif region_kind == "ball3":
-        counter = ball3_count
-    else:
+    if region_kind not in _FIT_COUNTERS:
         raise ValueError(f"no error series for region kind {region_kind!r}")
+    counter, cap = _FIT_COUNTERS[region_kind]
+    # checked before any count, so the message names the caller's largest size
+    if max(R_samples) > cap:
+        raise ValueError(f"{region_kind} sizes must be <= {cap}, got {max(R_samples)}")
     samples = []
     for r in rs:
         r_arg = int(r) if float(r).is_integer() else r
@@ -320,11 +321,3 @@ def write_error_series_csv(series: ErrorSeries, f: IO[str]) -> None:
     w.writerow(["R", "count", "main_term", "error"])
     for r, c, mt, e in series.samples:
         w.writerow([repr(r), c, repr(mt), repr(e)])
-
-
-def error_series_summary(series: ErrorSeries) -> dict:
-    return {
-        "fitted_exponent": series.fitted_exponent,
-        "residual": series.residual,
-        "window": [series.fit_window[0], series.fit_window[1]],
-    }

@@ -1,8 +1,8 @@
 """Smallest-prime-factor sieve and the exact k=1 counting functions.
 
 The central object is :class:`ArithTable`, a segmented smallest-prime-factor
-(spf) table for 2..limit.  Everything else (primality, Mobius mu, von Mangoldt
-Lambda, prime-power decomposition, pi(x), Pi(x), J(x)) is derived from spf on
+(spf) table for 2..limit.  Everything else (primality, factorization,
+Mobius mu, von Mangoldt Lambda, pi(x), Pi(x), J(x)) is derived from spf on
 demand, so a single 2-byte-per-entry array serves the whole package.
 
 Memory bound: spf is stored as uint16, one entry per integer, with 0 for
@@ -64,11 +64,15 @@ def isqrt_array(m: np.ndarray) -> np.ndarray:
     2**-27, more than half an ulp of a result below 2**26, so the correctly
     rounded sqrt lies in [k, k+1).  Larger m take two exact int64 correction
     sweeps, so v*v <= m < (v+1)*(v+1) holds for every m < 2**62 (the +-1
-    guess correction needs (v+1)**2 in range).
+    guess correction needs (v+1)**2 in range).  A negative entry raises
+    ValueError; one unsigned max pass finds it, since it reads as >= 2**63.
     """
     m = np.asarray(m, dtype=np.int64)
+    top = int(m.view(np.uint64).max()) if m.size else 0
+    if top >= 2 ** 63:
+        raise ValueError(f"isqrt_array needs nonnegative entries, got {m.min()}")
     v = np.sqrt(m.astype(np.float64)).astype(np.int64)
-    if m.size == 0 or m.max() < 2 ** 52:
+    if top < 2 ** 52:
         return v
     # float sqrt is within 1 ulp; two correction sweeps settle every entry
     for _ in range(2):
@@ -214,15 +218,6 @@ def mu(table: ArithTable, n: int) -> int:
         return 1
     primes, exps = _strip_factors(table.spf, int(n))
     return 0 if max(exps) > 1 else (-1) ** len(primes)
-
-
-def prime_power_decompose(table: ArithTable, n: int) -> Optional[tuple[int, int]]:
-    """Return (p, a) with n == p**a if n is a prime power, else None."""
-    table._check_range(n)
-    if n == 1:
-        return None
-    primes, exps = _strip_factors(table.spf, int(n))
-    return (primes[0], exps[0]) if len(primes) == 1 else None
 
 
 def von_mangoldt(table: ArithTable, n: int) -> float:

@@ -13,10 +13,9 @@ Every product here is computed in exact (unbounded) integer arithmetic, so
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import floor
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +25,14 @@ RAY_ENUM_BOUND = 10 ** 6
 # capital_pi_k refuses an x with more exponent vectors than this; the count
 # grows like (log x)^k / k!, so the cap stops a huge x from running for hours
 EXPONENT_VECTORS_MAX = 10 ** 5
+
+
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Parse '0,2,6' style comma-separated integers."""
+    parts = [p for p in text.replace(" ", "").split(",") if p]
+    if not parts:
+        raise ValueError(f"no {what} in {text!r}")
+    return tuple(int(p) for p in parts)
 
 
 @dataclass(frozen=True)
@@ -54,11 +61,7 @@ class OffsetSet:
 
     @classmethod
     def parse(cls, text: str) -> "OffsetSet":
-        """Parse '0,2,6' style comma-separated offsets."""
-        parts = [p for p in text.replace(" ", "").split(",") if p]
-        if not parts:
-            raise ValueError(f"no offsets in {text!r}")
-        return cls(tuple(int(p) for p in parts))
+        return cls(_parse_ints(text, "offsets"))
 
     def __str__(self):
         return "{" + ",".join(str(h) for h in self.offsets) + "}"
@@ -88,10 +91,7 @@ class ExponentVector:
 
     @classmethod
     def parse(cls, text: str) -> "ExponentVector":
-        parts = [p for p in text.replace(" ", "").split(",") if p]
-        if not parts:
-            raise ValueError(f"no exponents in {text!r}")
-        return cls(tuple(int(p) for p in parts))
+        return cls(_parse_ints(text, "exponents"))
 
     def __str__(self):
         return "(" + ",".join(str(e) for e in self.exponents) + ")"
@@ -112,22 +112,6 @@ class RayPoint:
 
     def recompute_product(self) -> int:
         return ray_product(self.base, self.offset_set, self.exponents)
-
-    def entries(self) -> tuple[int, ...]:
-        return tuple(self.base + h for h in self.offset_set.offsets)
-
-
-@dataclass(frozen=True)
-class LocalizationReport:
-    """Measured relation between the all-rays count and floor(x)."""
-
-    x: float
-    floor_x: int
-    ray_count: int
-
-    @property
-    def offset_from_floor(self) -> int:
-        return self.floor_x - self.ray_count
 
 
 def ray_product(n: int, H: OffsetSet, m: ExponentVector) -> int:
@@ -313,7 +297,14 @@ def ray_from_integer(table: ArithTable, n: int) -> RayPoint:
     return point
 
 
-def enumerate_rays(table: ArithTable, x, max_x: int = RAY_ENUM_BOUND) -> list[RayPoint]:
+def _check_ray_range(table: ArithTable, xf: int) -> None:
+    if xf > RAY_ENUM_BOUND:
+        raise ValueError(f"x={xf} above enumeration bound {RAY_ENUM_BOUND}")
+    if xf > table.limit:
+        raise ValueError(f"x={xf} exceeds table limit {table.limit}")
+
+
+def enumerate_rays(table: ArithTable, x) -> list[RayPoint]:
     """All ray points with product <= x, exactly one per integer in [2, x].
 
     Enumeration is by factorizing each integer, so the one-point-per-integer
@@ -323,10 +314,7 @@ def enumerate_rays(table: ArithTable, x, max_x: int = RAY_ENUM_BOUND) -> list[Ra
     xf = int(floor(x))
     if xf < 2:
         return []
-    if xf > max_x:
-        raise ValueError(f"x={xf} above enumeration bound {max_x}")
-    if xf > table.limit:
-        raise ValueError(f"x={xf} exceeds table limit {table.limit}")
+    _check_ray_range(table, xf)
     return [ray_from_integer(table, n) for n in range(2, xf + 1)]
 
 
@@ -374,49 +362,19 @@ def _verify_ray_products(table: ArithTable, upto: int, block: int = 1 << 20) -> 
         table._rays_verified_upto = hi
 
 
-def localization_sum(table: ArithTable, x, max_x: int = RAY_ENUM_BOUND) -> int:
+def localization_sum(table: ArithTable, x) -> int:
     """Total number of ray points with product <= x, over all patterns.
 
     Equivalent to summing capital_pi_k over every admissible-or-not offset
     pattern; computed instead by the factorization bijection: every integer
     in [2, floor(x)] is the product of exactly one ray point, and 1 is the
     product of none (its factorization is empty).  The count therefore comes
-    out floor(x) - 1, one below the floor; callers that want the comparison
-    spelled out should use localization_report.
+    out floor(x) - 1, one below the floor.
     """
     xf = int(floor(x))
     if xf < 2:
         return 0
-    if xf > max_x:
-        raise ValueError(f"x={xf} above enumeration bound {max_x}")
-    if xf > table.limit:
-        raise ValueError(f"x={xf} exceeds table limit {table.limit}")
+    _check_ray_range(table, xf)
     _verify_ray_products(table, xf)
     return xf - 1  # one verified ray per integer in [2, xf]
 
-
-def localization_report(table: ArithTable, x, max_x: int = RAY_ENUM_BOUND) -> LocalizationReport:
-    xf = int(floor(x))
-    return LocalizationReport(
-        x=float(x), floor_x=xf, ray_count=localization_sum(table, x, max_x=max_x)
-    )
-
-
-# ---------------------------------------------------------------------------
-# CSV dump
-
-
-def write_ray_csv(rays: Iterable[RayPoint], f: IO[str]) -> None:
-    """Dump ray points as CSV: k, offsets, exponents, base, product."""
-    w = csv.writer(f, lineterminator="\n")
-    w.writerow(["k", "offsets", "exponents", "base", "product"])
-    for r in rays:
-        w.writerow(
-            [
-                r.offset_set.k,
-                ";".join(str(h) for h in r.offset_set.offsets),
-                ";".join(str(e) for e in r.exponents.exponents),
-                r.base,
-                r.product,
-            ]
-        )

@@ -27,7 +27,6 @@ from primelattice.sieve import build_table, capital_pi_exact, j_exact, pi_exact
 from primelattice.tuples import (
     OffsetSet,
     enumerate_rays,
-    localization_report,
     localization_sum,
     pi_k,
 )
@@ -53,12 +52,12 @@ def crit_1(threads: int):
             floor_minus_one += 1
         if s == x:
             floor_alone += 1
-    rep = localization_report(table, 5000)
+    at_5000 = localization_sum(table, 5000)
     elapsed = time.monotonic() - t0
     ok = floor_minus_one == 4999 and floor_alone == 0 and elapsed < 60.0
     detail = (f"sum=floor-1 at {floor_minus_one}/4999 integers in [2,5000], "
-              f"sum=floor at {floor_alone}; x=5000 report: sum={rep.ray_count} "
-              f"floor={rep.floor_x} offset={rep.offset_from_floor}")
+              f"sum=floor at {floor_alone}; x=5000 report: sum={at_5000} "
+              f"floor=5000 offset={5000 - at_5000}")
     return ok, detail
 
 

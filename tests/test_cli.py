@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line surface."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primelattice import cli, density, explicit
 from primelattice.cli import ZEROS_ENV, build_parser, run
@@ -208,6 +212,28 @@ def test_oversized_fit_sample_count_exits_1(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_fit_past_the_shape_cap_names_the_requested_size(capsys, monkeypatch):
+    def no_count(*args, **kwargs):
+        raise AssertionError("counted a size before the cap check")
+
+    monkeypatch.setitem(cli.lattice._FIT_COUNTERS, "ball3", (no_count, 3000))
+    argv = ["lattice", "fit", "--shape", "ball3", "--from", "2", "--to", "1e9"]
+    code, out, err = _capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: ball3 sizes must be <= 3000, got 1000000000\n"
+
+
+def test_tuples_count_offset_cap_exits_1(capsys, monkeypatch):
+    def no_sieve(limit, *args):
+        raise AssertionError(f"table to {limit} built before the offset cap check")
+
+    monkeypatch.setattr(cli.sieve, "build_table", no_sieve)
+    argv = ["tuples", "count", "--offsets", "0,20000002", "--limit", "10"]
+    code, out, err = _capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: max offset 20000002 above the cap 10000000\n"
+
+
 def test_oversized_prime_limit_exits_1(capsys, monkeypatch):
     def no_sieve(n):
         raise AssertionError(f"sieve to {n} allocated before the cap check")
@@ -257,3 +283,65 @@ def test_repeated_runs_identical(capsys):
 def test_parser_builds_help():
     parser = build_parser()
     assert parser.prog == "primelattice"
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every input ends in a result, a one-line error or a usage error
+
+_BAD = st.sampled_from(["", "a", "nan", "-1", "1e400"])
+
+
+def _num(lo, hi, integer=False):
+    good = st.integers(lo, hi) if integer else st.floats(lo, hi, allow_nan=False)
+    return st.one_of(good.map(str), _BAD)
+
+
+def _offsets():
+    good = st.lists(st.integers(0, 40), min_size=1, max_size=4).map(
+        lambda hs: ",".join(map(str, [0] + sorted(set(hs) - {0}))))
+    return st.one_of(good, _BAD)
+
+
+def _exponents():
+    good = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(
+        lambda es: ",".join(map(str, es)))
+    return st.one_of(good, _BAD)
+
+
+_ARGVS = st.one_of(
+    st.tuples(st.sampled_from(["pi", "prime-powers", "j", "localize"]),
+              _num(-10, 1e5), st.just("--limit"), _num(-10, 10 ** 5, integer=True)),
+    st.tuples(st.just("tuples"), st.just("count"), st.just("--offsets"), _offsets(),
+              st.just("--limit"), _num(-10, 10 ** 5, integer=True)),
+    st.tuples(st.just("tuples"), st.just("power"), st.just("--offsets"), _offsets(),
+              st.just("--exponents"), _exponents(), st.just("--cutoff"),
+              _num(-10, 10 ** 8, integer=True)),
+    st.tuples(st.just("explicit"), st.just("pi"), _num(-10, 1e6), st.just("--zeros"),
+              _num(-2, 120, integer=True)),
+    st.tuples(st.just("perron"), _num(-1, 1e4), _num(-1, 4), _num(-1, 1e6)),
+    st.tuples(st.just("singular-series"), st.just("--offsets"), _offsets(),
+              st.just("--prime-limit"), _num(-10, 10 ** 5, integer=True)),
+    st.tuples(st.just("lattice"), st.sampled_from(["circle", "divisor"]),
+              _num(-10, 10 ** 5, integer=True), st.just("--threads"),
+              _num(-1, 3, integer=True)),
+    st.tuples(st.just("lattice"), st.just("fit"), st.just("--shape"),
+              st.sampled_from(["circle", "divisor", "ball3", "a"]), st.just("--from"),
+              _num(-10, 100), st.just("--to"), _num(-10, 1e4), st.just("--samples"),
+              _num(-1, 16, integer=True)),
+    st.tuples(st.just("zeros"), st.just("verify")),
+).map(list)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ARGVS, st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]))
+def test_cli_argv_fuzz(argv, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv + fmt)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == "", (argv, out)
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)

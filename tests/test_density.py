@@ -1,6 +1,5 @@
 """Tests for the singular series and density averages."""
 
-import io
 import math
 
 import numpy as np
@@ -10,10 +9,7 @@ from primelattice import density
 from primelattice.density import (
     MAX_PRIME_LIMIT,
     average_capital_pi_k,
-    gallagher_aggregate,
     singular_series,
-    twin_pattern_series,
-    write_gallagher_csv,
 )
 from primelattice.quadrature import integrate
 from primelattice.sieve import build_table
@@ -135,46 +131,3 @@ def test_average_tracks_twin_count():
     c = singular_series(H).value
     avg = average_capital_pi_k(10 ** 5, H, c)
     assert 0.94 < exact / avg < 1.06
-
-
-def test_gallagher_matches_direct_average():
-    h_max = 30
-    want = sum(singular_series(OffsetSet((0, h))).value
-               for h in range(1, h_max + 1)) / h_max
-    got = gallagher_aggregate(2, h_max)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_gallagher_tends_to_one():
-    assert abs(gallagher_aggregate(2, 10 ** 4) - 1.0) < 0.1
-
-
-def test_gallagher_argument_errors():
-    with pytest.raises(ValueError):
-        gallagher_aggregate(3, 100)
-    with pytest.raises(ValueError):
-        gallagher_aggregate(2, 5)
-
-
-def test_twin_pattern_series_fast_path():
-    table = build_table(2048)
-    for h in [2, 4, 6, 8, 10, 12, 30, 210, 1024]:
-        fast = twin_pattern_series(h, table=table).value
-        direct = singular_series(OffsetSet((0, h))).value
-        assert fast == pytest.approx(direct, rel=1e-12)
-    for h in [1, 5, 7, 99]:
-        assert twin_pattern_series(h, table=table).value == 0.0
-    with pytest.raises(ValueError):
-        twin_pattern_series(0)
-
-
-def test_gallagher_csv():
-    buf = io.StringIO()
-    write_gallagher_csv(buf, 12)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "h,singular_series"
-    assert len(lines) == 13
-    rows = {int(r.split(",")[0]): float(r.split(",")[1]) for r in lines[1:]}
-    assert rows[1] == 0.0
-    assert rows[6] == pytest.approx(twin_pattern_series(6).value, rel=1e-15)
-    assert rows[2] == pytest.approx(rows[4], rel=1e-15)

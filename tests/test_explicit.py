@@ -54,7 +54,7 @@ def test_load_zero_table_roundtrip(tmp_path):
     zt = default_zero_table()
     path = tmp_path / "zeros.txt"
     path.write_text("".join(f"{g:.12f}\n" for g in zt.ordinates))
-    back = load_zero_table(str(path), precision=12)
+    back = load_zero_table(str(path))
     assert np.allclose(back.ordinates, zt.ordinates, atol=1e-12)
 
 
@@ -69,22 +69,17 @@ def test_load_zero_table_format_errors():
     # too few entries for the default contract
     with pytest.raises(ValueError, match="need 100"):
         load_zero_table(io.StringIO("14.134725\n21.022040\n"))
-    # wrong first ordinate
-    with pytest.raises(ValueError, match="first ordinate"):
-        load_zero_table(io.StringIO("15.5\n21.0\n"), minimum_count=2)
-
-
-def test_load_zero_table_relaxed_for_synthetic_streams():
-    zt = load_zero_table(
-        io.StringIO("14.134725\n21.022040\n25.010858\n"), minimum_count=3
-    )
-    assert len(zt) == 3
+    # wrong first ordinate: 100 entries, every one shifted by 2e-6
+    shifted = "".join(f"{g + 2e-6:.12f}\n" for g in default_zero_table().ordinates)
+    with pytest.raises(ValueError, match="first ordinate .* within 1e-06"):
+        load_zero_table(io.StringIO(shifted))
 
 
 def test_zero_table_validate_catches_bad_order():
-    bad = ZeroTable(np.array([14.134725, 13.0]), precision=6)
-    with pytest.raises(ValueError):
-        bad.validate(minimum_count=2)
+    g = default_zero_table().ordinates.copy()
+    g[[50, 51]] = g[[51, 50]]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ZeroTable(g).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +94,8 @@ def test_explicit_pi_close_to_exact(table):
 
 def test_explicit_eval_breakdown_consistent():
     ev = riemann_pi_explicit(100)
-    assert ev.value == pytest.approx(ev.parts_recombine(), abs=1e-12)
+    parts = ev.main_term - ev.zero_sum - ev.log2_term - ev.trivial_zero_sum
+    assert ev.value == pytest.approx(parts, abs=1e-12)
     assert ev.zeros_used == 100
     assert ev.truncation_m == 6  # floor(log2 100)
     assert ev.log2_term != 0.0
@@ -144,9 +140,9 @@ def test_capital_pi_explicit_values(table):
     assert abs(capital_pi_explicit(100).value - 35) <= 1.5
     assert abs(capital_pi_explicit(8).value - 6) <= 1.0
     assert abs(capital_pi_explicit(3).value - 2) <= 1.0
-    assert capital_pi_explicit(100).value == pytest.approx(
-        capital_pi_explicit(100).parts_recombine(), abs=1e-12
-    )
+    ev = capital_pi_explicit(100)
+    parts = ev.main_term - ev.zero_sum - ev.log2_term - ev.trivial_zero_sum
+    assert ev.value == pytest.approx(parts, abs=1e-12)
     # exact side oracle for the x=8 example
     assert capital_pi_exact(table, 8) == 6
 
@@ -191,8 +187,7 @@ def test_explicit_grid_block_size_invariant(monkeypatch):
     # 20,000 synthetic ordinates x 5 squarefree m at x = 100: the grid has
     # 100,000 points, but a 1,000-point block keeps the traced peak to the
     # block's temporaries plus one row of the fold
-    text = "".join(f"{10.0 + 0.37 * k:.6f}\n" for k in range(20000))
-    zeros = load_zero_table(io.StringIO(text), check_first=False)
+    zeros = ZeroTable(10.0 + 0.37 * np.arange(20000))
     whole = riemann_pi_explicit(100.0, zeros)
     monkeypatch.setattr(special, "EI_BLOCK", 1000)
     tracemalloc.start()

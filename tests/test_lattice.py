@@ -17,11 +17,9 @@ from primelattice.lattice import (
     divisor_count_split,
     divisor_hyperbola_count,
     error_exponent_fit,
-    error_series_summary,
     fit_error_samples,
     gauss_circle_count,
     geometric_sizes,
-    strict_quadrant_count,
     write_error_series_csv,
 )
 
@@ -93,14 +91,14 @@ def test_circle_boundary_floors_exact():
 def test_circle_symmetry_assembly():
     for R in [5, 10, 50, 777, 7.5]:
         full = gauss_circle_count(R).count
-        strict = strict_quadrant_count(R)
+        strict = lattice._quadrant_sq(lattice._radius_floor_sq(R)[1])
         assert full == 4 * strict + 4 * math.floor(R) + 1
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 150))
 def test_quadrant_split_reproduces(R):
-    assert strict_quadrant_count(R) == _quadrant_brute(R)
+    assert lattice._quadrant_sq(R * R) == _quadrant_brute(R)
 
 
 def test_circle_range_guards():
@@ -388,10 +386,6 @@ def test_error_series_emission():
     r, c, mt, e = lines[1].split(",")
     assert float(r) == 128.0 and int(c) == gauss_circle_count(128).count
     assert float(mt) - int(c) == float(e)  # repr round-trips exactly
-
-    summary = error_series_summary(series)
-    assert set(summary) == {"fitted_exponent", "residual", "window"}
-    assert summary["window"] == [128.0, 131072.0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from primelattice.sieve import (
     j_exact,
     mu,
     pi_exact,
-    prime_power_decompose,
     von_mangoldt,
 )
 
@@ -151,19 +150,6 @@ def test_mu_mertens_partial_sums(table):
             assert acc == known[n]
 
 
-def test_prime_power_decompose(table):
-    assert prime_power_decompose(table, 1) is None
-    for n in range(2, 3000):
-        got = prime_power_decompose(table, n)
-        fac = factor_ref(n)
-        if len(fac) == 1:
-            ((p, a),) = fac.items()
-            assert got == (p, a)
-            assert p ** a == n
-        else:
-            assert got is None
-
-
 def test_von_mangoldt(table):
     assert von_mangoldt(table, 1) == 0.0
     assert von_mangoldt(table, 12) == 0.0
@@ -180,7 +166,6 @@ def test_factorisation_functions_match_trial_division(table, n):
     fac = factor_ref(n)
     pa = next(iter(fac.items())) if len(fac) == 1 else None
     assert mu(table, n) == mu_ref(n)
-    assert prime_power_decompose(table, n) == pa
     assert von_mangoldt(table, n) == (log(pa[0]) if pa else 0.0)
     if n >= 2:
         assert factor_sorted(table, n) == (sorted(fac), [fac[p] for p in sorted(fac)])
@@ -217,9 +202,7 @@ def test_capital_pi_known_values(table):
     assert capital_pi_exact(table, 100) == 35
     # direct count oracle
     for x in (10, 30, 100, 1000, 7919):
-        direct = sum(
-            1 for n in range(2, x + 1) if prime_power_decompose(table, n) is not None
-        )
+        direct = sum(1 for n in range(2, x + 1) if len(factor_ref(n)) == 1)
         assert capital_pi_exact(table, x) == direct
 
 
@@ -230,9 +213,9 @@ def test_j_exact_values(table):
     for x in (2, 20, 100, 1000):
         direct = Fraction(0)
         for n in range(2, x + 1):
-            pa = prime_power_decompose(table, n)
-            if pa is not None:
-                direct += Fraction(1, pa[1])
+            fac = factor_ref(n)
+            if len(fac) == 1:
+                direct += Fraction(1, *fac.values())
         assert j_exact(table, x) == direct
     # J(x) - Pi(x) difference only comes from exponents >= 2
     assert j_exact(table, 100) == Fraction(25, 1) + Fraction(4, 2) + Fraction(
@@ -305,3 +288,9 @@ def test_isqrt_array_seam_and_empty():
     assert isqrt_array(np.array(seam)).tolist() == [isqrt(m) for m in seam]
     empty = isqrt_array(np.array([], dtype=np.int64))
     assert empty.shape == (0,) and empty.dtype == np.int64
+
+
+def test_isqrt_array_rejects_negative():
+    for m in ([-1, 5], [-1, 2 ** 60], [4, -(2 ** 62)]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            isqrt_array(np.array(m, dtype=np.int64))

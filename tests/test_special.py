@@ -301,8 +301,6 @@ def test_zeta_real_domain():
         zeta_real(1.0)
     with pytest.raises(ValueError):
         zeta_real(0.5)
-    with pytest.raises(ValueError):
-        zeta_real(2.0, corrections=9)
 
 
 # ---------------------------------------------------------------------------

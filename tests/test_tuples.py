@@ -1,5 +1,4 @@
-import io
-from math import isqrt, log, prod
+from math import floor, isqrt, log, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,17 +16,16 @@ from primelattice import tuples
 from primelattice.tuples import (
     ExponentVector,
     OffsetSet,
+    RAY_ENUM_BOUND,
     RayPoint,
     capital_pi_k,
     enumerate_rays,
-    localization_report,
     localization_sum,
     max_base_for_cutoff,
     pi_k,
     pi_k_power,
     ray_from_integer,
     ray_product,
-    write_ray_csv,
     _verify_ray_products,
 )
 
@@ -103,7 +101,6 @@ def test_ray_point_product_consistency():
     m = ExponentVector((2, 1))
     rp = RayPoint(base=3, offset_set=H, exponents=m, product=45)
     assert rp.recompute_product() == 45
-    assert rp.entries() == (3, 5)
     assert ray_product(3, H, m) == 9 * 5
     with pytest.raises(ValueError):
         ray_product(3, H, ExponentVector((1,)))
@@ -345,8 +342,8 @@ def test_enumerate_rays_bijection(table):
 
 def test_enumerate_rays_prime_entries(table):
     for r in enumerate_rays(table, 2000):
-        for entry in r.entries():
-            assert is_prime_ref(entry), r
+        for h in r.offset_set.offsets:
+            assert is_prime_ref(r.base + h), r
 
 
 def rays_combinatorial(x: int) -> set:
@@ -394,8 +391,9 @@ def test_enumerate_rays_matches_combinatorial(table):
 def test_enumerate_rays_bound(table):
     with pytest.raises(ValueError):
         enumerate_rays(table, 10 ** 7)
-    with pytest.raises(ValueError):
-        enumerate_rays(table, 50, max_x=10)
+    # past the bound, whatever the table: the bound check comes first
+    with pytest.raises(ValueError, match="enumeration bound"):
+        enumerate_rays(table, RAY_ENUM_BOUND + 1)
 
 
 def test_ray_from_integer(table):
@@ -424,9 +422,7 @@ def test_localization_matches_ray_count(table):
 
 def test_localization_sits_one_below_floor(table):
     for x in (2.0, 9.99, 100.5, 4321):
-        rep = localization_report(table, x)
-        assert rep.ray_count == rep.floor_x - 1
-        assert rep.offset_from_floor == 1
+        assert localization_sum(table, x) == floor(x) - 1
 
 
 @pytest.mark.parametrize("n, bad", [(12, 1), (12, 4), (15, 5), (13, 13)])
@@ -463,19 +459,3 @@ def test_localization_sum_via_capital_pi_k(table):
         total = sum(capital_pi_k(table, x, H) for H in patterns)
         assert total == localization_sum(table, x)
 
-
-# ---------------------------------------------------------------------------
-# CSV dump
-
-
-def test_ray_csv_format(table):
-    buf = io.StringIO()
-    write_ray_csv(enumerate_rays(table, 6), buf)
-    assert buf.getvalue() == (
-        "k,offsets,exponents,base,product\n"
-        "1,0,1,2,2\n"
-        "1,0,1,3,3\n"
-        "1,0,2,2,4\n"
-        "1,0,1,5,5\n"
-        "2,0;1,1;1,2,6\n"
-    )
