@@ -101,8 +101,12 @@ def _cmd_tuples_count(args) -> str:
 def _cmd_tuples_power(args) -> str:
     H = tuples.OffsetSet.parse(args.offsets)
     m = tuples.ExponentVector.parse(args.exponents)
-    base_cap = sieve.iroot(int(args.cutoff), m.total) + H.max_offset + 2
-    table = _table_for(base_cap, DEFAULT_SIEVE_LIMIT, pad=0)
+    # the table runs to the largest counted base plus the offsets
+    top = tuples.max_base_for_cutoff(args.cutoff, H, m) + H.max_offset + 2
+    if top > DEFAULT_SIEVE_LIMIT:
+        raise ValueError(f"cutoff {args.cutoff} with max offset {H.max_offset} needs "
+                         f"a sieve past the limit {DEFAULT_SIEVE_LIMIT}")
+    table = sieve.build_table(max(4, top))
     count = tuples.pi_k_power(table, args.cutoff, H, m)
     return _emit(
         {"offsets": str(H), "exponents": ",".join(str(e) for e in m.exponents),
@@ -163,7 +167,9 @@ def _cmd_lattice_fit(args) -> str:
     series = lattice.error_exponent_fit(args.shape, sizes, threads=args.threads)
     if args.format == "csv":
         buf = io.StringIO()
-        lattice.write_error_series_csv(series, buf)
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["R", "count", "main_term", "error"])
+        w.writerows([_fmt(v) for v in row] for row in series.samples)
         return buf.getvalue().rstrip("\n")
     return _emit(
         {"fitted_exponent": series.fitted_exponent, "residual": series.residual,

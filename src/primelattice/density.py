@@ -71,7 +71,7 @@ def singular_series(H: OffsetSet, prime_limit: int = DEFAULT_PRIME_LIMIT) -> Sin
     return SingularSeriesValue(value, int(prime_limit), tail)
 
 
-def average_capital_pi_k(x: float, H: OffsetSet, c_value: float, abs_tol: float = 1e-8) -> float:
+def average_capital_pi_k(x: float, H: OffsetSet, c_value: float) -> float:
     """Conjectured average count: C * integral_2^x dr / prod_i log(r + h_i)."""
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
@@ -85,4 +85,4 @@ def average_capital_pi_k(x: float, H: OffsetSet, c_value: float, abs_tol: float 
             acc = acc * np.log(rs + h)
         return 1.0 / acc
 
-    return c_value * integrate(f, 2.0, float(x), abs_tol=abs_tol, max_panels=16384)
+    return c_value * integrate(f, 2.0, float(x), abs_tol=1e-8, max_panels=16384)

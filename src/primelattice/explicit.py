@@ -28,11 +28,6 @@ FIRST_ZERO = 14.134725141735
 FIRST_ZERO_TOL = 1e-6
 # the fewest ordinates a zero table must hold
 MIN_ZEROS = 100
-# Largest explicit-formula truncation accepted.  Each squarefree m <= max_m
-# is a row of the Ei grids, and the trivial-zero row of m runs to j ~ 15 m /
-# log x, so an unbounded max_m at small x hangs (x = 2, max_m = 10^4 ran past
-# 20 s).  The default floor(log2 x) stays within it for every x < 2^101.
-MAX_M = 100
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +205,7 @@ def _trivial_sum(terms: np.ndarray) -> float:
     raise ArithmeticError("trivial-zero series did not reach 1e-14")
 
 
-def _explicit_evals(xs, zeros, max_m, zero_count) -> list:
+def _explicit_evals(xs, zeros, zero_count) -> list:
     """riemann_pi_explicit at every x in xs from one Ei grid.
 
     The rows (x, squarefree m) of all the xs share one ei_complex grid of
@@ -224,12 +219,10 @@ def _explicit_evals(xs, zeros, max_m, zero_count) -> list:
     used = len(zeros) if zero_count is None else min(zero_count, len(zeros))
     if used < 1:
         raise ValueError("need at least one zero")
-    if max_m is not None and not (isinstance(max_m, int) and 1 <= max_m <= MAX_M):
-        raise ValueError(f"max_m must be an int in [1, {MAX_M}], got {max_m!r}")
     gammas = zeros.ordinates[:used]
     plans = []
     for x in xs:
-        big_m = int(floor(log(x) / log(2.0))) if max_m is None else max_m
+        big_m = int(floor(log(x) / log(2.0)))
         rows = []
         for m in range(1, big_m + 1):
             mu_m = _mu_small(m)
@@ -273,7 +266,6 @@ def _explicit_evals(xs, zeros, max_m, zero_count) -> list:
 def riemann_pi_explicit(
     x: float,
     zeros: Optional[ZeroTable] = None,
-    max_m: Optional[int] = None,
     zero_count: Optional[int] = None,
 ) -> ExplicitEval:
     """Zero-sum evaluation of the prime counting function at x.
@@ -285,13 +277,12 @@ def riemann_pi_explicit(
     """
     if x < 2:
         raise ValueError(f"explicit evaluation needs x >= 2, got {x}")
-    return _explicit_evals([x], zeros, max_m, zero_count)[0]
+    return _explicit_evals([x], zeros, zero_count)[0]
 
 
 def capital_pi_explicit(
     x: float,
     zeros: Optional[ZeroTable] = None,
-    max_m: Optional[int] = None,
     zero_count: Optional[int] = None,
 ) -> ExplicitEval:
     """Prime-power variant: sum the k=1 evaluation at x^{1/n} while >= 2.
@@ -310,7 +301,7 @@ def capital_pi_explicit(
         roots.append(root)
     value = main = zsum = l2 = triv = 0.0
     used = 0
-    for ev in _explicit_evals(roots, zeros, max_m, zero_count):
+    for ev in _explicit_evals(roots, zeros, zero_count):
         value += ev.value
         main += ev.main_term
         zsum += ev.zero_sum

@@ -9,13 +9,12 @@ main_term - count grows with the region size.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import IO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +29,9 @@ BALL3_R_MAX = 3000
 # call there takes ~1.3 s at threads=1 (0.5 s at 2) on a 2-CPU x86 host.
 DIVISOR_DIRECT_MAX = 10 ** 16
 GEOMETRIC_SIZES_MAX = 10 ** 4
+# count_under_graph calls f once per integer in Python; at the cap an f made of
+# np.sqrt takes ~1 s (math.sqrt 0.2 s) on a 2-CPU x86 host
+GRAPH_X_MAX = 10 ** 6
 _CHUNK = 1 << 20
 
 
@@ -96,6 +98,8 @@ def count_under_graph(f: Callable, x_max) -> CountResult:
     n_top = int(math.floor(x_max))
     if n_top < 0:
         raise ValueError("x_max must be >= 0")
+    if n_top > GRAPH_X_MAX:
+        raise ValueError(f"floor(x_max) must be <= {GRAPH_X_MAX}, got {n_top}")
     count = 0
     for n in range(n_top + 1):
         y = float(f(n))
@@ -137,11 +141,6 @@ def _quadrant_sq(m: int, threads: int = 1) -> int:
     return c * c + 2 * wing
 
 
-def _disk_count_sq(m: int, threads: int = 1) -> int:
-    """#{(a,b) in Z^2 : a^2 + b^2 <= m} for integer m >= 0."""
-    return 1 + 4 * isqrt(m) + 4 * _quadrant_sq(m, threads)
-
-
 def gauss_circle_count(R, threads: int = 1) -> CountResult:
     """Lattice points in the closed disk of radius R."""
     _check_threads(threads)
@@ -149,20 +148,11 @@ def gauss_circle_count(R, threads: int = 1) -> CountResult:
         raise ValueError(f"need 0 < R <= {CIRCLE_R_MAX}, got {R}")
     _, m = _radius_floor_sq(R)
     main = math.pi * float(R) * float(R)
-    return CountResult.assemble(_disk_count_sq(m, threads), main)
+    return CountResult.assemble(1 + 4 * isqrt(m) + 4 * _quadrant_sq(m, threads), main)
 
 
 # ---------------------------------------------------------------------------
 # Divisor hyperbola
-
-
-def divisor_count_split(x: int, threads: int = 1) -> int:
-    """Hyperbola-split form 2 sum_{n<=sqrt x} floor(x/n) - floor(sqrt x)^2."""
-    x = int(x)
-    if x < 1:
-        raise ValueError("need x >= 1")
-    s = isqrt(x)
-    return 2 * _chunked_sum(lambda ns: x // ns, 1, s, threads) - s * s
 
 
 def divisor_hyperbola_count(x, threads: int = 1) -> CountResult:
@@ -174,7 +164,9 @@ def divisor_hyperbola_count(x, threads: int = 1) -> CountResult:
     main = xi * math.log(xi) + (2.0 * EULER_GAMMA - 1.0) * xi
     if xi > DIVISOR_DIRECT_MAX:
         raise ValueError(f"direct sum capped at x <= {DIVISOR_DIRECT_MAX}")
-    return CountResult.assemble(divisor_count_split(xi, threads), main)
+    s = isqrt(xi)  # hyperbola split: 2 sum_{n<=s} floor(x/n) - s^2
+    count = 2 * _chunked_sum(lambda ns: xi // ns, 1, s, threads) - s * s
+    return CountResult.assemble(count, main)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +302,3 @@ def geometric_sizes(lo: float, hi: float, count: int = 12) -> list:
         if not out or n > out[-1]:
             out.append(n)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Emission
-
-
-def write_error_series_csv(series: ErrorSeries, f: IO[str]) -> None:
-    w = csv.writer(f, lineterminator="\n")
-    w.writerow(["R", "count", "main_term", "error"])
-    for r, c, mt, e in series.samples:
-        w.writerow([repr(r), c, repr(mt), repr(e)])

@@ -321,8 +321,11 @@ def enumerate_rays(table: ArithTable, x) -> list[RayPoint]:
 # ---------------------------------------------------------------------------
 # localization: total ray count against floor(x)
 
+# entries per pass of the spf invariant check
+_VERIFY_BLOCK = 1 << 20
 
-def _verify_ray_products(table: ArithTable, upto: int, block: int = 1 << 20) -> None:
+
+def _verify_ray_products(table: ArithTable, upto: int) -> None:
     """Check the spf invariant for every n in (watermark, upto], in blocks.
 
     With s = spf[n] and eff(m) = spf[m] or m (the smallest prime factor of m
@@ -345,8 +348,8 @@ def _verify_ray_products(table: ArithTable, upto: int, block: int = 1 << 20) -> 
     if upto <= done:
         return
     spf = table.spf
-    for lo in range(done + 1, upto + 1, block):
-        hi = min(lo + block - 1, upto)
+    for lo in range(done + 1, upto + 1, _VERIFY_BLOCK):
+        hi = min(lo + _VERIFY_BLOCK - 1, upto)
         s = spf[lo : hi + 1].astype(np.int64)
         n = np.flatnonzero(s) + lo
         s = s[s != 0]

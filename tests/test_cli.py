@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primelattice import cli, density, explicit
+from primelattice import cli, density, explicit, lattice
 from primelattice.cli import ZEROS_ENV, build_parser, run
 
 
@@ -121,9 +121,10 @@ def test_lattice_fit_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "R,count,main_term,error"
-    assert len(lines) >= 9
-    fields = lines[1].split(",")
-    assert float(fields[2]) - int(fields[1]) == float(fields[3])
+    assert len(lines) == 13  # header and the 12 distinct sizes
+    r, c, mt, e = lines[1].split(",")
+    assert r == "128.0" and int(c) == lattice.gauss_circle_count(128).count
+    assert float(mt) - int(c) == float(e)  # repr round-trips exactly
 
 
 def test_lattice_fit_text(capsys):
@@ -232,6 +233,15 @@ def test_tuples_count_offset_cap_exits_1(capsys, monkeypatch):
     code, out, err = _capture(capsys, argv)
     assert (code, out) == (1, "")
     assert err == "error: max offset 20000002 above the cap 10000000\n"
+
+
+def test_tuples_power_cap_names_the_cutoff(capsys):
+    argv = ["tuples", "power", "--offsets", "0", "--exponents", "1",
+            "--cutoff", "100000000000000"]
+    code, out, err = _capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "100000000000000" in err
 
 
 def test_oversized_prime_limit_exits_1(capsys, monkeypatch):

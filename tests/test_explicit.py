@@ -1,5 +1,4 @@
 import io
-import time
 import tracemalloc
 from math import exp, floor, log
 
@@ -122,18 +121,10 @@ def test_explicit_pi_argument_errors():
         riemann_pi_explicit(100, zero_count=0)
 
 
-def test_explicit_max_m_capped():
-    # x = 2 with max_m = 10^4 would build ~6,000 rows of ~2e5 trivial terms each
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"max_m must be an int in \[1, 100\]"):
-        riemann_pi_explicit(2.0, max_m=10 ** 4)
-    assert time.perf_counter() - start < 1.0
-    for bad in (0, 101, 2.0, "3"):
-        with pytest.raises(ValueError, match="max_m"):
-            riemann_pi_explicit(100.0, max_m=bad)
-        with pytest.raises(ValueError, match="max_m"):
-            capital_pi_explicit(100.0, max_m=bad)
-    assert riemann_pi_explicit(2.0, max_m=100).truncation_m == 100
+def test_explicit_truncation_at_the_largest_float():
+    # the truncation is always floor(log2 x): 1023 rows at the largest finite x
+    assert riemann_pi_explicit(1.7e308).truncation_m == 1023
+    assert capital_pi_explicit(1.7e308).truncation_m == 1023
 
 
 def test_capital_pi_explicit_values(table):

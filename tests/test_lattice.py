@@ -14,13 +14,11 @@ from primelattice.lattice import (
     CountResult,
     ball3_count,
     count_under_graph,
-    divisor_count_split,
     divisor_hyperbola_count,
     error_exponent_fit,
     fit_error_samples,
     gauss_circle_count,
     geometric_sizes,
-    write_error_series_csv,
 )
 
 
@@ -165,6 +163,14 @@ def test_graph_non_finite_names_index():
         count_under_graph(f, 5)
 
 
+def test_graph_size_cap():
+    def never(n):
+        raise AssertionError("f called before the size check")
+
+    with pytest.raises(ValueError, match=r"floor\(x_max\) must be <= 1000000, got 1000001"):
+        count_under_graph(never, lattice.GRAPH_X_MAX + 1.5)
+
+
 # ---------------------------------------------------------------------------
 # divisor hyperbola
 
@@ -186,7 +192,7 @@ def _divisor_brute(x):
 
 def test_divisor_split_agreement():
     for x in [1, 2, 10, 99, 10 ** 4]:
-        assert divisor_count_split(x) == _divisor_brute(x)
+        assert divisor_hyperbola_count(x).count == _divisor_brute(x)
 
 
 @settings(max_examples=25, deadline=None)
@@ -211,7 +217,7 @@ def test_divisor_main_term():
 def test_divisor_monotone():
     prev = 0
     for x in range(1, 200):
-        cur = divisor_count_split(x)
+        cur = divisor_hyperbola_count(x).count
         assert cur >= prev
         prev = cur
 
@@ -223,8 +229,6 @@ def test_divisor_guards():
         divisor_hyperbola_count(10.5)
     with pytest.raises(ValueError):
         divisor_hyperbola_count(10 ** 16 + 1)
-    with pytest.raises(ValueError):
-        divisor_count_split(0)
 
 
 def test_divisor_threads_identical():
@@ -372,20 +376,6 @@ def test_geometric_sizes():
         geometric_sizes(100, 10, 5)
     with pytest.raises(ValueError, match="cap"):
         geometric_sizes(100, 10 ** 5, 10 ** 4 + 1)
-
-
-def test_error_series_emission():
-    import io
-
-    series = error_exponent_fit("circle", [2 ** k for k in range(7, 18)])
-    buf = io.StringIO()
-    write_error_series_csv(series, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "R,count,main_term,error"
-    assert len(lines) == 12
-    r, c, mt, e = lines[1].split(",")
-    assert float(r) == 128.0 and int(c) == gauss_circle_count(128).count
-    assert float(mt) - int(c) == float(e)  # repr round-trips exactly
 
 
 # ---------------------------------------------------------------------------

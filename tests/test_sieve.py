@@ -79,11 +79,31 @@ def test_spf_matches_trial_division_sampled(table):
         assert int(table.spf[n]) == spf_ref(int(n))
 
 
-def test_segment_size_does_not_change_result():
+def test_segment_size_does_not_change_result(monkeypatch):
     base = build_table(5000)
     for seg in (16, 97, 1024, 5001, 10**6):
-        alt = build_table(5000, segment_size=seg)
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", seg)
+        alt = build_table(5000)
         assert np.array_equal(alt.spf, base.spf)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 2 * 10**4), st.integers(2, 4096))
+def test_spf_matches_trial_division_any_segment(limit, seg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "SEGMENT_SIZE", seg)
+        spf = build_table(limit).spf
+    assert spf.tolist() == [0, 0] + [spf_ref(n) for n in range(2, limit + 1)]
+
+
+def test_spf_at_segment_edges():
+    seg = sieve.SEGMENT_SIZE
+    limit = 3 * seg + 5
+    big = build_table(limit)
+    for edge in (2 + seg, 2 + 2 * seg, 2 + 3 * seg):  # segments start at 2
+        for n in range(edge - 200, min(edge + 201, limit + 1)):
+            assert int(big.spf[n]) == spf_ref(n), n
+    assert len(big.primes()) == len(sieve._simple_prime_list(limit))
 
 
 def test_build_rejects_bad_limits():
@@ -91,8 +111,6 @@ def test_build_rejects_bad_limits():
         build_table(1)
     with pytest.raises(ValueError):
         build_table(2.5)  # type: ignore[arg-type]
-    with pytest.raises(ValueError):
-        build_table(100, segment_size=4)
     with pytest.raises(ValueError, match=r"2\*\*16"):
         build_table(1 << 32)
 
