@@ -378,6 +378,32 @@ def test_geometric_sizes():
         geometric_sizes(100, 10 ** 5, 10 ** 4 + 1)
 
 
+def test_error_series_emission(capsys):
+    import json
+
+    from primelattice.cli import run
+
+    series = error_exponent_fit("circle", [2 ** k for k in range(7, 18)])
+    argv = ["lattice", "fit", "--shape", "circle", "--from", "128", "--to", "131072",
+            "--samples", "11"]
+    assert run(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "R,count,main_term,error"
+    assert len(lines) == 12
+    r, c, mt, e = lines[1].split(",")
+    assert float(r) == 128.0 and int(c) == gauss_circle_count(128).count
+    assert float(mt) - int(c) == float(e)  # repr round-trips exactly
+    assert [tuple(map(float, ln.split(","))) for ln in lines[1:]] == [
+        tuple(map(float, row)) for row in series.samples]
+
+    assert run(argv + ["--format", "json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert set(summary) == {"fitted_exponent", "residual", "window_lo", "window_hi"}
+    assert [summary["window_lo"], summary["window_hi"]] == [128.0, 131072.0]
+    assert summary["fitted_exponent"] == series.fitted_exponent
+    assert summary["residual"] == series.residual
+
+
 # ---------------------------------------------------------------------------
 # types
 
